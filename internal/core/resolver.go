@@ -155,10 +155,8 @@ func (r *Resolver) Train(site *webpage.Site, now time.Time, device webpage.Devic
 			}
 			continue
 		}
-		if len(dl.lists) < loads {
-			// Document not present in every load (e.g. a rotated iframe):
-			// keep only what is common to the loads that had it.
-		}
+		// A document absent from some loads (e.g. a rotated iframe) keeps
+		// what is common to the loads that had it.
 		r.stable[key] = intersect(dl.lists)
 	}
 }

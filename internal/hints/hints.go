@@ -4,7 +4,6 @@
 package hints
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -66,24 +65,57 @@ func Sort(hs []Hint) {
 	sort.SliceStable(hs, func(i, j int) bool { return hs[i].Priority < hs[j].Priority })
 }
 
+// hintHeaders are the header names that carry hints, indexed by headerOf.
+var hintHeaders = [...]string{HeaderLink, HeaderSemi, HeaderLow}
+
+// headerOf maps a priority to its index in hintHeaders; anything that is
+// neither High nor Semi rides in the low-priority header.
+func headerOf(p Priority) int {
+	if p == High || p == Semi {
+		return int(p)
+	}
+	return int(Low)
+}
+
 // Format renders hints as HTTP header fields, one entry per hinted URL,
-// preserving order within each header.
+// preserving order within each header. Each value is built in one
+// allocation and each header's slice is sized up front: a News document
+// carries ~130 hints.
 func Format(hs []Hint) map[string][]string {
-	out := make(map[string][]string, 3)
+	var n [len(hintHeaders)]int
 	for _, h := range hs {
-		switch h.Priority {
-		case High:
-			out[HeaderLink] = append(out[HeaderLink], fmt.Sprintf("<%s>; rel=preload", h.URL))
-		case Semi:
-			out[HeaderSemi] = append(out[HeaderSemi], h.URL.String())
-		default:
-			out[HeaderLow] = append(out[HeaderLow], h.URL.String())
+		n[headerOf(h.Priority)]++
+	}
+	var vals [len(hintHeaders)][]string
+	for i := range vals {
+		vals[i] = make([]string, 0, n[i])
+	}
+	for _, h := range hs {
+		i := headerOf(h.Priority)
+		if i == int(High) {
+			vals[i] = append(vals[i], wrapURL("<", h.URL, ">; rel=preload"))
+		} else {
+			vals[i] = append(vals[i], wrapURL("", h.URL, ""))
+		}
+	}
+	out := make(map[string][]string, len(hintHeaders)+1)
+	for i, name := range hintHeaders {
+		if n[i] > 0 {
+			out[name] = vals[i]
 		}
 	}
 	if len(out) > 0 {
 		out[HeaderExpose] = []string{ExposeValue}
 	}
 	return out
+}
+
+// wrapURL returns prefix + u.String() + suffix in a single allocation.
+func wrapURL(prefix string, u urlutil.URL, suffix string) string {
+	if u.Query == "" {
+		return prefix + u.Scheme + "://" + u.Host + u.Path + suffix
+	}
+	return prefix + u.Scheme + "://" + u.Host + u.Path + "?" + u.Query + suffix
 }
 
 // Limits applied while parsing untrusted headers. Hints are advisory, so a
@@ -105,8 +137,12 @@ const (
 // keep only their first (highest-priority) occurrence, and the result is
 // capped at MaxHints. Order within each priority class is preserved.
 func Parse(headers map[string][]string) []Hint {
-	var hs []Hint
-	seen := make(map[urlutil.URL]bool)
+	n := len(headers[HeaderLink]) + len(headers[HeaderSemi]) + len(headers[HeaderLow])
+	if n > MaxHints {
+		n = MaxHints
+	}
+	hs := make([]Hint, 0, n)
+	seen := make(map[urlutil.URL]bool, n)
 	add := func(u urlutil.URL, p Priority) {
 		if len(hs) >= MaxHints || seen[u] {
 			return
@@ -128,6 +164,9 @@ func Parse(headers map[string][]string) []Hint {
 		if u, ok := parsePlainURL(v); ok {
 			add(u, Low)
 		}
+	}
+	if len(hs) == 0 {
+		return nil // as before presizing: no hints parse to a nil slice
 	}
 	return hs
 }

@@ -45,6 +45,7 @@ const (
 	metricTenants   = "vroom_store_tenants"
 	metricEvictions = "vroom_store_evictions_total"
 	metricQueueFull = "vroom_store_retrain_queue_full_total"
+	metricMemo      = "vroom_store_memo_total"
 )
 
 // Trainer builds one tenant's resolver. It runs on a background worker, off
@@ -92,6 +93,10 @@ type Result struct {
 	// path tags such responses vroom-degraded: stale-restore — correct at
 	// the time it was persisted, possibly behind the site's churn since.
 	Restored bool
+	// Memoized reports that the answer was not computed for this lookup: the
+	// serving table had already resolved this document for byte-identical
+	// content and returned that shared Answer. Always false on Shed and Miss.
+	Memoized bool
 }
 
 // Config sizes a Store. Zero fields select defaults.
@@ -159,7 +164,8 @@ func (c Config) queueDepth() int {
 }
 
 // table is one immutable published hint table. Readers hold it only via
-// shard.cur.Load(); nothing in it is mutated after publication.
+// shard.cur.Load(); nothing in it is mutated after publication except memo,
+// which caches a pure function of the fields above.
 type table struct {
 	version   uint64
 	trainedAt time.Time
@@ -168,6 +174,75 @@ type table struct {
 	// restored marks a table loaded from disk at cold start; the first
 	// retrain swap clears it (the replacement table has restored=false).
 	restored bool
+	// memo holds the answers this table has already resolved, one per
+	// document URL, published copy-on-write (see answer). It starts empty
+	// and dies with the table, so a swap invalidates it and a superseded
+	// table pins nothing once its last reader lets go.
+	memo atomic.Pointer[memo]
+}
+
+// memoSlots caps the documents one table memoizes. A tenant serves a root
+// document and a handful of same-origin frames; past the cap a new document
+// displaces an arbitrary one, so a table pins at most memoSlots bodies.
+const memoSlots = 16
+
+// memo maps a document to the table's answer for the bytes last served as it.
+// A published memo is never written again.
+type memo map[urlutil.URL]*Answer
+
+// Answer is what one table resolves for one document as served: the sorted
+// hints core.Resolver.HintsFor derives from exactly those bytes, and the
+// header set hints.Format renders from them.
+//
+// An Answer is shared by every request that presents the same bytes under
+// the same table, concurrently. It is read-only: do not assign into, append
+// to or re-sort Hints, and do not assign into Headers or its value slices.
+// A caller that must change either copies first.
+type Answer struct {
+	Hints   []hints.Hint
+	Headers map[string][]string
+
+	// body is the content the answer was derived from. Hints computed from
+	// one user's bytes may only accompany those same bytes (§4.2), so an
+	// Answer is reused on full equality with body and on nothing weaker.
+	body string
+}
+
+// answer resolves doc as served with body, reusing the memoized Answer when
+// body is byte-for-byte what that answer was derived from (O(1) when it is
+// the same archive string, one memcmp otherwise). Anything else is resolved
+// afresh and takes over the document's slot. Nothing here locks: a miss
+// computes first, then publishes a copy of the memo with one CAS, so
+// lookups racing each other at worst both compute the same answer.
+func (t *table) answer(doc urlutil.URL, body string) (a *Answer, hit bool) {
+	if m := t.memo.Load(); m != nil {
+		if a := (*m)[doc]; a != nil && a.body == body {
+			return a, true
+		}
+	}
+	hs := t.resolver.HintsFor(doc, body, t.device)
+	a = &Answer{Hints: hs, Headers: hints.Format(hs), body: body}
+	for {
+		old := t.memo.Load()
+		var prev memo
+		if old != nil {
+			prev = *old
+		}
+		_, replaces := prev[doc]
+		evict := !replaces && len(prev) >= memoSlots
+		next := make(memo, len(prev)+1)
+		for k, v := range prev {
+			if evict {
+				evict = false
+				continue
+			}
+			next[k] = v
+		}
+		next[doc] = a
+		if t.memo.CompareAndSwap(old, &next) {
+			return a, false
+		}
+	}
 }
 
 // shard is one tenant's serving state.
@@ -236,6 +311,8 @@ type Store struct {
 
 	// Telemetry handles; nil-safe when Instrument was never called.
 	mLookups  map[Source]*telemetry.Counter
+	mMemoHit  *telemetry.Counter
+	mMemoMiss *telemetry.Counter
 	mLookupMs *telemetry.Histogram
 	mRetrains *telemetry.Counter
 	mSwaps    *telemetry.Counter
@@ -342,6 +419,7 @@ func (st *Store) Instrument(reg *telemetry.Registry) {
 		return
 	}
 	reg.Describe(metricLookups, "Hint lookups by source (fresh, stale, shed, miss).")
+	reg.Describe(metricMemo, "Fresh and stale lookups by whether the table had already resolved the same document bytes (hit, miss).")
 	reg.Describe(metricLookupMs, "Hint lookup latency in milliseconds.")
 	reg.Describe(metricRetrains, "Background retrains completed.")
 	reg.Describe(metricSwaps, "RCU table swaps published.")
@@ -354,6 +432,8 @@ func (st *Store) Instrument(reg *telemetry.Registry) {
 		Shed:  reg.Counter(metricLookups, telemetry.L("source", "shed")),
 		Miss:  reg.Counter(metricLookups, telemetry.L("source", "miss")),
 	}
+	st.mMemoHit = reg.Counter(metricMemo, telemetry.L("result", "hit"))
+	st.mMemoMiss = reg.Counter(metricMemo, telemetry.L("result", "miss"))
 	st.mLookupMs = reg.Histogram(metricLookupMs)
 	st.mRetrains = reg.Counter(metricRetrains)
 	st.mSwaps = reg.Counter(metricSwaps)
@@ -434,20 +514,43 @@ func (st *Store) evictColdestLocked() {
 	}
 }
 
-// Lookup returns the dependency hints for serving doc with the given body.
-// It never blocks on training: the answer comes from whatever table the
-// doc's origin shard currently publishes, tagged by freshness. A lookup on
-// a stale table schedules a background retrain (at most one in flight per
-// shard) and still returns immediately.
+// Lookup returns the dependency hints for serving doc with the given body:
+// LookupAnswer's Hints, nil on Shed and Miss. The slice is the shared one
+// (see Answer) — read-only.
 func (st *Store) Lookup(doc urlutil.URL, body string) ([]hints.Hint, Result) {
-	start := st.clock()
-	hs, res := st.lookup(doc, body, start)
-	st.mLookups[res.Source].Inc()
-	st.mLookupMs.Observe(float64(st.clock().Sub(start)) / float64(time.Millisecond))
-	return hs, res
+	a, res := st.LookupAnswer(doc, body)
+	if a == nil {
+		return nil, res
+	}
+	return a.Hints, res
 }
 
-func (st *Store) lookup(doc urlutil.URL, body string, now time.Time) ([]hints.Hint, Result) {
+// LookupAnswer resolves the hints that go with doc when it is served as
+// body, and their rendered headers. It never blocks on training: the answer
+// comes from whatever table the doc's origin shard currently publishes,
+// tagged by freshness. A lookup on a stale table schedules a background
+// retrain (at most one in flight per shard) and still returns immediately.
+//
+// The table computes an answer once per (document, bytes) and then hands
+// out the same *Answer (Result.Memoized) until it is swapped out or the
+// document is served with different bytes. The Answer is nil on Shed and
+// Miss, and read-only otherwise.
+func (st *Store) LookupAnswer(doc urlutil.URL, body string) (*Answer, Result) {
+	start := st.clock()
+	a, res := st.lookup(doc, body, start)
+	st.mLookups[res.Source].Inc()
+	if a != nil {
+		if res.Memoized {
+			st.mMemoHit.Inc()
+		} else {
+			st.mMemoMiss.Inc()
+		}
+	}
+	st.mLookupMs.Observe(float64(st.clock().Sub(start)) / float64(time.Millisecond))
+	return a, res
+}
+
+func (st *Store) lookup(doc urlutil.URL, body string, now time.Time) (*Answer, Result) {
 	st.mu.RLock()
 	sh := st.tenants[doc.Host]
 	st.mu.RUnlock()
@@ -474,7 +577,9 @@ func (st *Store) lookup(doc urlutil.URL, body string, now time.Time) ([]hints.Hi
 		}
 		res.Source = Stale
 	}
-	return tbl.resolver.HintsFor(doc, body, tbl.device), res
+	a, hit := tbl.answer(doc, body)
+	res.Memoized = hit
+	return a, res
 }
 
 // requestRetrain schedules a background retrain for sh unless one is

@@ -2,7 +2,7 @@ package hintstore
 
 import (
 	"errors"
-	"sort"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -290,14 +290,20 @@ func TestTrainerErrorKeepsOldTable(t *testing.T) {
 
 // TestRCUSwapNeverTornUnderRace is the tentpole invariant: lookups racing
 // repeated table swaps must always see a version-consistent hint set —
-// exactly the hints the published resolver of that version produces, never
-// a mix — and must never block on a swap.
+// exactly the hints the published resolver of that version produces for
+// the bytes presented, never a mix — and must never block on a swap. Two
+// renderings of the same document alternate, so the tables' answer memos
+// are hit, replaced and raced the whole time: an answer memoized for one
+// body or one version must never come back for another.
 func TestRCUSwapNeverTornUnderRace(t *testing.T) {
 	site := webpage.NewSite("storercu", webpage.News, 2017)
 	clock := newFakeClock()
 	root := site.RootURL()
-	sn := site.Snapshot(testEpoch, webpage.Profile{Device: webpage.PhoneSmall}, 1)
-	body := sn.RootResource().Body
+	bodies := make([]string, 2)
+	for i := range bodies {
+		at := testEpoch.Add(time.Duration(i) * 400 * time.Hour)
+		bodies[i] = site.Snapshot(at, webpage.Profile{Device: webpage.PhoneSmall}, 1).RootResource().Body
+	}
 
 	// Two distinct resolvers: trained at epochs far apart so their hint
 	// sets differ; the trainer alternates between them every publish.
@@ -305,8 +311,15 @@ func TestRCUSwapNeverTornUnderRace(t *testing.T) {
 	rA.Train(site, testEpoch, webpage.PhoneSmall)
 	rB := core.NewResolver(core.DefaultResolverConfig())
 	rB.Train(site, testEpoch.Add(400*time.Hour), webpage.PhoneSmall)
-	wantA := hintKeys(rA.HintsFor(root, body, webpage.PhoneSmall))
-	wantB := hintKeys(rB.HintsFor(root, body, webpage.PhoneSmall))
+	// want[version parity][body] is the direct resolution.
+	var want [2][2][]hints.Hint
+	for i, body := range bodies {
+		want[1][i] = rA.HintsFor(root, body, webpage.PhoneSmall)
+		want[0][i] = rB.HintsFor(root, body, webpage.PhoneSmall)
+	}
+	if reflect.DeepEqual(want[1][0], want[0][0]) || reflect.DeepEqual(want[1][0], want[1][1]) {
+		t.Fatal("fixture: the resolvers or the bodies resolve to the same hints")
+	}
 
 	tr := func(version uint64, cancel <-chan struct{}) (*core.Resolver, error) {
 		if version%2 == 1 {
@@ -335,35 +348,38 @@ func TestRCUSwapNeverTornUnderRace(t *testing.T) {
 		}
 	}()
 
-	var torn atomic.Int64
-	var lookups atomic.Int64
+	var torn, lookups, memoized atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 300; j++ {
-				hs, res := st.Lookup(root, body)
+				// Runs of one body, so lookups both hit and displace.
+				b := (i + j/3) % len(bodies)
+				ans, res := st.LookupAnswer(root, bodies[b])
 				lookups.Add(1)
-				if res.Source == Miss {
+				if res.Source == Miss || ans == nil {
 					t.Error("registered tenant produced a miss")
 					return
 				}
-				got := hintKeys(hs)
-				want := wantA
-				if res.Version%2 == 0 {
-					want = wantB
+				if res.Memoized {
+					memoized.Add(1)
 				}
-				if !sameKeys(got, want) {
+				w := want[res.Version%2][b]
+				if !reflect.DeepEqual(ans.Hints, w) || !reflect.DeepEqual(ans.Headers, hints.Format(w)) {
 					torn.Add(1)
 				}
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
 	close(stop)
 	if n := torn.Load(); n > 0 {
-		t.Fatalf("%d of %d lookups saw a hint set inconsistent with their version", n, lookups.Load())
+		t.Fatalf("%d of %d lookups saw an answer inconsistent with their version and body", n, lookups.Load())
+	}
+	if memoized.Load() == 0 {
+		t.Error("no lookup was answered from a memo: the race never exercised it")
 	}
 }
 
@@ -390,27 +406,6 @@ func TestInstrumentCountsLookups(t *testing.T) {
 	if v := reg.Gauge(metricTenants).Value(); v != 1 {
 		t.Fatalf("tenants gauge = %d, want 1", v)
 	}
-}
-
-func hintKeys(hs []hints.Hint) []string {
-	keys := make([]string, len(hs))
-	for i, h := range hs {
-		keys[i] = h.URL.String()
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sameKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func parseURL(t testing.TB, raw string) (urlutil.URL, error) {

@@ -87,8 +87,10 @@ func WritePerfetto(w io.Writer, rec *Recording) error {
 	for seq, sp := range spans {
 		args := argMap(sp.beginArgs)
 		endArgs := argMap(sp.endArgs)
-		if sp.to.Equal(sp.from) {
-			// Zero-duration span: an instant keeps B/E ordering trivial.
+		if us(sp.to) == us(sp.from) {
+			// Zero-duration span at the file's microsecond resolution: an
+			// instant keeps B/E ordering trivial (a pair sharing one ts would
+			// sort close-before-open below).
 			for k, v := range endArgs {
 				if args == nil {
 					args = make(map[string]string)

@@ -325,6 +325,37 @@ func TestPerfettoFlowEvents(t *testing.T) {
 	}
 }
 
+// TestPerfettoSubMicrosecondSpan: a span shorter than the file's
+// microsecond resolution that cannot nest in its track (it straddles the
+// end of an enclosing span) must not become an async pair whose end sorts
+// before its begin — the wire server's admission span is one, and the
+// merged trace failed validation on about one run in six.
+func TestPerfettoSubMicrosecondSpan(t *testing.T) {
+	start := time.Date(2017, 8, 21, 12, 0, 0, 0, time.UTC)
+	rec := &Recording{Start: start}
+	now := start
+	tr := New(clockAt(&now), rec)
+
+	outer := tr.Begin("srv:server", "serve")
+	now = start.Add(2 * time.Millisecond)
+	short := tr.Begin("srv:server", "admission")
+	now = start.Add(2*time.Millisecond + 100*time.Nanosecond)
+	outer.End()
+	now = start.Add(2*time.Millisecond + 300*time.Nanosecond)
+	short.End(Arg{Key: "result", Val: "admitted"})
+
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckPerfetto(buf.Bytes()); err != nil {
+		t.Fatalf("sub-microsecond span breaks the trace: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), `"result":"admitted"`) {
+		t.Error("the span's end args were lost")
+	}
+}
+
 // TestCheckPerfettoFlowValidation pins the new checks: a finish without a
 // start, a dangling start, and a duplicate start must all be rejected.
 func TestCheckPerfettoFlowValidation(t *testing.T) {

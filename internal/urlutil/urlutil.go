@@ -11,7 +11,8 @@ import (
 )
 
 // URL is a normalized absolute http(s) URL broken into the parts the system
-// cares about. It is comparable and suitable as a map key via String().
+// cares about. The struct is comparable, so it is a map key as it stands
+// (hints.Parse's dedup set, hintstore's answer memo) — no String() needed.
 type URL struct {
 	Scheme string // "http" or "https"
 	Host   string // lowercased host, no port if default

@@ -88,6 +88,10 @@ func (c AccountingConfig) maxOpen() int {
 // originLedger is one host's open prediction windows.
 type originLedger struct {
 	open map[string]*prediction // keyed by full URL
+	// oldest is no later than any open window's emission. Every window has
+	// the same length, so nothing in the ledger can have expired before
+	// oldest plus that length and expireLocked need not look.
+	oldest time.Time
 }
 
 // prediction is one emitted hint waiting for its request.
@@ -136,6 +140,9 @@ func (a *Accountant) NoteHints(docOrigin string, hs []hints.Hint, age time.Durat
 		if len(ol.open) >= a.cfg.maxOpen() {
 			a.drops++
 			continue
+		}
+		if len(ol.open) == 0 || now.Before(ol.oldest) {
+			ol.oldest = now
 		}
 		ol.open[key] = &prediction{attr: host, emitted: now}
 	}
@@ -257,12 +264,22 @@ func (a *Accountant) ledgerLocked(host string) *originLedger {
 }
 
 // expireLocked settles a ledger's windows older than the accounting
-// window. Caller holds a.mu; calling the store under it is safe —
+// window. It scans only when the ledger's oldest emission can have expired,
+// and leaves oldest at the survivors' earliest emission — so of the calls
+// NoteHints makes for one document's hints, at most the first per ledger
+// scans. Caller holds a.mu; calling the store under it is safe —
 // NoteQuality only takes the store's own RLock.
 func (a *Accountant) expireLocked(ol *originLedger, now time.Time) {
 	cutoff := now.Add(-a.cfg.window())
+	if len(ol.open) == 0 || ol.oldest.After(cutoff) {
+		return
+	}
+	ol.oldest = now
 	for key, p := range ol.open {
 		if p.emitted.After(cutoff) {
+			if p.emitted.Before(ol.oldest) {
+				ol.oldest = p.emitted
+			}
 			continue
 		}
 		delete(ol.open, key)

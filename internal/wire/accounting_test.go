@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"vroom/internal/core"
 	"vroom/internal/hints"
 	"vroom/internal/hintstore"
 	"vroom/internal/netem"
@@ -125,6 +128,157 @@ func TestAccountantBounds(t *testing.T) {
 	q := st.QualityOf(origin)
 	if q.HintsEmitted != 3 || q.HintsUsed+q.HintsUnused != 2 {
 		t.Errorf("bounded ledger: %+v", q)
+	}
+}
+
+// scanLedger is the settlement rule stated the slow way — every touch of a
+// host scans all of its open windows for expiry — as the reference the
+// accountant's skip-the-scan bookkeeping must agree with exactly.
+type scanLedger struct {
+	window  time.Duration
+	maxOpen int
+	open    map[string]map[string]*prediction // host -> url -> window
+	tally   map[string]*hintstore.QualityDelta
+	drops   int64
+}
+
+func (m *scanLedger) of(host string) *hintstore.QualityDelta {
+	if m.tally[host] == nil {
+		m.tally[host] = &hintstore.QualityDelta{}
+	}
+	return m.tally[host]
+}
+
+func (m *scanLedger) expire(host string, now time.Time) {
+	for url, p := range m.open[host] {
+		if p.emitted.After(now.Add(-m.window)) {
+			continue
+		}
+		delete(m.open[host], url)
+		if p.pushed {
+			m.of(host).HintsUsed++
+		} else {
+			m.of(host).HintsUnused++
+		}
+	}
+}
+
+func (m *scanLedger) noteHints(doc string, hs []hints.Hint, now time.Time) {
+	for _, h := range hs {
+		host, url := h.URL.Host, h.URL.String()
+		if m.open[host] == nil {
+			m.open[host] = map[string]*prediction{}
+		}
+		m.expire(host, now)
+		if m.open[host][url] != nil {
+			continue
+		}
+		if len(m.open[host]) >= m.maxOpen {
+			m.drops++
+			continue
+		}
+		m.open[host][url] = &prediction{emitted: now}
+	}
+	m.of(doc).HintsEmitted += int64(len(hs))
+}
+
+func (m *scanLedger) notePush(host, url string, bytes int64) {
+	if p := m.open[host][url]; p != nil {
+		p.pushed, p.bytes = true, bytes
+	}
+	m.of(host).PushedCount++
+	m.of(host).PushedBytes += bytes
+}
+
+func (m *scanLedger) noteRequest(host, url string, isDoc bool, now time.Time) {
+	m.expire(host, now)
+	if p := m.open[host][url]; p != nil {
+		delete(m.open[host], url)
+		m.of(host).HintsUsed++
+		if p.pushed {
+			m.of(host).WastedPushBytes += p.bytes
+		}
+	} else if !isDoc {
+		m.of(host).HintsMissed++
+	}
+}
+
+func (m *scanLedger) flush() {
+	for host := range m.open {
+		m.expire(host, time.Unix(1<<40, 0)) // everything is past its window
+	}
+}
+
+// TestAccountantExpiryMatchesFullScan drives the accountant and the
+// full-scan reference with the same seeded mix of emissions, pushes,
+// requests and clock steps (some shorter than the window, some longer,
+// over several hosts so one emission touches several ledgers) and requires
+// every tenant's emitted/used/unused/missed/pushed/wasted totals and the
+// drop count to match: tracking each ledger's oldest emission changes when
+// the scan runs, never what it settles.
+func TestAccountantExpiryMatchesFullScan(t *testing.T) {
+	const window = 5 * time.Second
+	hosts := []string{"a.example", "b.example", "c.example"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := hintstore.New(hintstore.Config{TTL: time.Hour, MaxTenants: 8})
+		for _, h := range hosts {
+			if err := st.Register(h, webpage.PhoneSmall, hintstore.StaticTrainer(core.NewResolver(core.DefaultResolverConfig()))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := time.Unix(1000, 0)
+		acct := NewAccountant(AccountingConfig{Store: st, Window: window, MaxOpenPerOrigin: 12,
+			Clock: func() time.Time { return now }})
+		ref := &scanLedger{window: window, maxOpen: 12,
+			open: map[string]map[string]*prediction{}, tally: map[string]*hintstore.QualityDelta{}}
+		pick := func() (string, string) {
+			host := hosts[rng.Intn(len(hosts))]
+			return host, hintFor(host, fmt.Sprintf("/r%d", rng.Intn(20))).URL.String()
+		}
+		for op := 0; op < 3000; op++ {
+			switch rng.Intn(10) {
+			case 0, 1, 2:
+				hs := make([]hints.Hint, 1+rng.Intn(8))
+				for i := range hs {
+					hs[i] = hintFor(hosts[rng.Intn(len(hosts))], fmt.Sprintf("/r%d", rng.Intn(20)))
+				}
+				doc := hosts[rng.Intn(len(hosts))]
+				acct.NoteHints(doc, hs, 0, false)
+				ref.noteHints(doc, hs, now)
+			case 3:
+				host, url := pick()
+				bytes := int64(100 + rng.Intn(900))
+				acct.NotePush(host, url, bytes)
+				ref.notePush(host, url, bytes)
+			case 4, 5, 6, 7:
+				host, url := pick()
+				isDoc := rng.Intn(8) == 0
+				acct.NoteRequest(host, url, isDoc)
+				ref.noteRequest(host, url, isDoc, now)
+			case 8:
+				now = now.Add(time.Duration(rng.Intn(3000)) * time.Millisecond)
+			case 9:
+				if rng.Intn(4) == 0 {
+					now = now.Add(window + time.Duration(rng.Intn(2000))*time.Millisecond)
+				}
+			}
+		}
+		acct.Flush()
+		ref.flush()
+		if acct.Drops() != ref.drops {
+			t.Errorf("seed %d: drops = %d, full scan %d", seed, acct.Drops(), ref.drops)
+		}
+		for _, h := range hosts {
+			q, want := st.QualityOf(h), ref.of(h)
+			got := hintstore.QualityDelta{HintsEmitted: q.HintsEmitted, HintsUsed: q.HintsUsed,
+				HintsUnused: q.HintsUnused, HintsMissed: q.HintsMissed, PushedCount: q.PushedCount,
+				PushedBytes: q.PushedBytes, WastedPushBytes: q.WastedPushBytes}
+			if got != *want {
+				t.Errorf("seed %d, %s:\n     got %+v\nfull scan %+v", seed, h, got, *want)
+			}
+		}
+		st.Drain(time.Second)
 	}
 }
 

@@ -361,45 +361,72 @@ func (s *Server) admit(r *h2.Request, st *serveTrace) (release func(), refusal *
 // hintsFor resolves a document's hints through the store (multi-tenant,
 // stale-while-revalidate) or the fallback resolver, appending any
 // degradation modes taken to degraded. The hint-lookup span records which
-// source answered, tied to the caller's flow.
-func (s *Server) hintsFor(u urlutil.URL, body string, degraded *[]string, st *serveTrace) []hints.Hint {
-	sp := s.child(st, "hint-lookup", obs.Arg{Key: "url", Val: u.String()})
-	source := "none"
+// source answered and whether the store's table had the answer memoized,
+// tied to the caller's flow.
+//
+// With a store and no fault plan, hs and headers are the table's shared
+// hintstore.Answer — headers being hints.Format(hs), rendered once — and
+// are read-only here and in everything they are handed to. headers is nil
+// when the caller has to render hs itself: under a fault plan (staleify
+// rewrites a copy per response) and on the fallback path.
+func (s *Server) hintsFor(u urlutil.URL, body string, degraded *[]string, st *serveTrace) (hs []hints.Hint, headers map[string][]string) {
+	var sp obs.Span
+	if st.span.Active() { // untraced, do not even build the url argument
+		sp = s.child(st, "hint-lookup", obs.Arg{Key: "url", Val: u.String()})
+	}
+	source, memo := "none", "none"
 	defer func() {
-		sp.End(obs.Arg{Key: "source", Val: source})
+		sp.End(obs.Arg{Key: "source", Val: source}, obs.Arg{Key: "memo", Val: memo})
 	}()
 	if s.Store != nil {
-		hs, res := s.Store.Lookup(u, body)
+		ans, res := s.Store.LookupAnswer(u, body)
 		if res.Restored && res.Source != hintstore.Miss {
 			*degraded = append(*degraded, DegradedStaleRestore)
 		}
 		switch res.Source {
-		case hintstore.Fresh:
-			source = "fresh"
-			out := s.staleify(hs)
-			s.Acct.NoteHints(u.Host, out, res.Age, true)
-			return out
-		case hintstore.Stale:
-			source = "stale"
-			*degraded = append(*degraded, DegradedStaleHints)
-			out := s.staleify(hs)
-			s.Acct.NoteHints(u.Host, out, res.Age, true)
-			return out
+		case hintstore.Fresh, hintstore.Stale:
+			source = res.Source.String()
+			if res.Source == hintstore.Stale {
+				*degraded = append(*degraded, DegradedStaleHints)
+			}
+			memo = "miss"
+			if res.Memoized {
+				memo = "hit"
+			}
+			hs, headers = ans.Hints, ans.Headers
+			if s.Faults != nil {
+				hs, headers = s.staleify(hs), nil
+			}
+			s.Acct.NoteHints(u.Host, hs, res.Age, true)
+			return hs, headers
 		case hintstore.Shed:
 			source = "shed"
 			*degraded = append(*degraded, DegradedShedHints)
-			return nil
+			return nil, nil
 		}
 		// Miss: the origin is not a store tenant; fall back.
 	}
 	if s.Resolver == nil {
-		return nil
+		return nil, nil
 	}
 	source = "fallback"
 	// Fallback hints carry no table identity, so no staleness age.
-	out := s.staleify(s.Resolver.HintsFor(u, body, s.Device))
-	s.Acct.NoteHints(u.Host, out, 0, false)
-	return out
+	hs = s.staleify(s.Resolver.HintsFor(u, body, s.Device))
+	s.Acct.NoteHints(u.Host, hs, 0, false)
+	return hs, nil
+}
+
+// setHintHeaders attaches a document's hint headers to a response's header
+// map: the store's pre-rendered set when there is one, a fresh rendering of
+// hs otherwise. The value slices are shared with the store and only read
+// from here to the wire.
+func setHintHeaders(dst map[string][]string, hs []hints.Hint, headers map[string][]string) {
+	if headers == nil {
+		headers = hints.Format(hs)
+	}
+	for name, vals := range headers {
+		dst[name] = vals
+	}
 }
 
 // noteFault counts one injected fault served to a client.
@@ -490,9 +517,8 @@ func (s *Server) serveH1(r *h2.Request) *h2.Response {
 		if s.Gate.Level() >= overload.LevelShedHints {
 			degraded = append(degraded, DegradedShedHints)
 		} else if u, err := rec.ParsedURL(); err == nil {
-			for name, vals := range hints.Format(s.hintsFor(u, rec.Body, &degraded, &st)) {
-				resp.Header[name] = vals
-			}
+			hs, headers := s.hintsFor(u, rec.Body, &degraded, &st)
+			setHintHeaders(resp.Header, hs, headers)
 		}
 	}
 	if len(degraded) > 0 {
@@ -567,17 +593,16 @@ func (s *Server) serveH2(w *h2.ResponseWriter, r *h2.Request) {
 	level := s.Gate.Level()
 	var degraded []string
 	var hs []hints.Hint
+	var headers map[string][]string
 	if rec.ResourceType() == webpage.HTML && (s.Cfg.SendHints || s.Cfg.Push) {
 		if level >= overload.LevelShedHints {
 			degraded = append(degraded, DegradedShedHints)
 		} else if u, err := rec.ParsedURL(); err == nil {
-			hs = s.hintsFor(u, rec.Body, &degraded, &st)
+			hs, headers = s.hintsFor(u, rec.Body, &degraded, &st)
 		}
 	}
 	if s.Cfg.SendHints && len(hs) > 0 {
-		for name, vals := range hints.Format(hs) {
-			w.Header()[name] = vals
-		}
+		setHintHeaders(w.Header(), hs, headers)
 	}
 	if s.Cfg.Push && len(hs) > 0 {
 		if level >= overload.LevelShedPush {
@@ -651,7 +676,8 @@ func (s *Server) push(w *h2.ResponseWriter, r *h2.Request, hs []hints.Hint, st *
 // is mangled to what an outdated resolver view would carry, and redirecting
 // ones are remembered so the lookup path can answer them with a 301. Mangled
 // URLs stay same-origin, so they never land on a push stream (not in the
-// archive) and the client's fetch reaches this server.
+// archive) and the client's fetch reaches this server. hs may be the store's
+// shared answer: it is copied, never rewritten in place.
 func (s *Server) staleify(hs []hints.Hint) []hints.Hint {
 	if s.Faults == nil || len(hs) == 0 {
 		return hs

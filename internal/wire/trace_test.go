@@ -132,7 +132,9 @@ func checkMergedPerfetto(t *testing.T, rec *obs.Recording) []byte {
 // client span and its server-side admission/hint/push spans share a trace
 // ID, joined by flow events in a Perfetto-valid merged file.
 func TestTracePropagationEndToEnd(t *testing.T) {
-	gate := overload.NewGate(overload.Config{MaxConcurrent: 64, MaxQueue: 64, MaxWait: time.Second})
+	// Enough slots that one staged load never fills the gate: at 64 it did
+	// on some runs, the ladder shed every push and no push-write span existed.
+	gate := overload.NewGate(overload.Config{MaxConcurrent: 1024, MaxQueue: 64, MaxWait: time.Second})
 	w := newTraceWorld(t, gate, ServerConfig{SendHints: true, Push: true}, RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
 
 	rep, err := w.client.LoadPage(w.root)
