@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"vroom/internal/hints"
 	"vroom/internal/urlutil"
 )
 
@@ -180,16 +181,16 @@ func (f ResponseFault) String() string {
 	return "none"
 }
 
-// HintFate classifies what a stale hint turned into.
-type HintFate int
+// hintFate classifies what a stale hint turned into.
+type hintFate int
 
 // Hint fates.
 const (
-	HintFresh HintFate = iota
-	// HintGone: the hinted URL 404s.
-	HintGone
-	// HintRedirect: the hinted URL redirects to the fresh URL.
-	HintRedirect
+	hintFresh hintFate = iota
+	// hintGone: the hinted URL 404s.
+	hintGone
+	// hintRedirect: the hinted URL redirects to the fresh URL.
+	hintRedirect
 )
 
 // Plan is one load's fault schedule plus the health state accumulated while
@@ -432,33 +433,55 @@ func (p *Plan) TruncateFrac(u urlutil.URL) float64 {
 	return 0.1 + 0.8*p.u01("truncate-frac", u.String())
 }
 
-// StaleHint decides whether a hinted URL has gone stale and, if so, what
-// the client finds there: a 404 (HintGone) or a redirect to the fresh URL
-// (HintRedirect). The mangled URL the hint now carries is returned; it is
-// same-origin with the original, so push and connection semantics are
-// preserved. The decision is fixed per URL: a stale hint is stale for the
-// whole load.
-func (p *Plan) StaleHint(u urlutil.URL) (urlutil.URL, HintFate) {
+// StaleHints passes served hints through the plan: a stale hint's URL is
+// mangled to what an outdated resolver view would carry, and redirect is
+// told each stale URL that must answer with a redirect to its fresh one
+// (the others 404). Mangled URLs stay same-origin, so push and connection
+// semantics are preserved. hs may be shared, such as a hint store's answer:
+// the result is a copy, never hs rewritten in place. A nil plan or empty hs
+// returns hs itself.
+func (p *Plan) StaleHints(hs []hints.Hint, redirect func(stale, fresh urlutil.URL)) []hints.Hint {
+	if p == nil || len(hs) == 0 {
+		return hs
+	}
+	out := make([]hints.Hint, len(hs))
+	for i, h := range hs {
+		m, fate := p.staleHint(h.URL)
+		if fate == hintRedirect {
+			redirect(m, h.URL)
+		}
+		h.URL = m
+		out[i] = h
+	}
+	return out
+}
+
+// staleHint decides whether a hinted URL has gone stale and, if so, what
+// the client finds there: a 404 (hintGone) or a redirect to the fresh URL
+// (hintRedirect). It returns the URL the hint now carries: the mangled one
+// when stale, u itself otherwise. The decision is fixed per URL: a stale
+// hint is stale for the whole load.
+func (p *Plan) staleHint(u urlutil.URL) (urlutil.URL, hintFate) {
 	if p == nil || p.cfg.StaleHintRate <= 0 {
-		return u, HintFresh
+		return u, hintFresh
 	}
 	key := u.String()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.exempt[key] {
-		return u, HintFresh
+		return u, hintFresh
 	}
 	if p.u01("stale-hint", key) >= p.cfg.StaleHintRate {
-		return u, HintFresh
+		return u, hintFresh
 	}
 	mangled := u
 	mangled.Path = u.Path + ".stale"
 	if p.u01("stale-kind", key) < p.cfg.RedirectFrac {
 		p.count("hints-redirected")
-		return mangled, HintRedirect
+		return mangled, hintRedirect
 	}
 	p.count("hints-gone")
-	return mangled, HintGone
+	return mangled, hintGone
 }
 
 // MarkFailing records a client-observed failure against an origin. The

@@ -2,9 +2,11 @@ package faults
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"vroom/internal/hints"
 	"vroom/internal/urlutil"
 )
 
@@ -22,7 +24,7 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 	if p.ResponseVerdict(u) != FaultNone {
 		t.Error("nil plan faulted a response")
 	}
-	if _, fate := p.StaleHint(u); fate != HintFresh {
+	if _, fate := p.staleHint(u); fate != hintFresh {
 		t.Error("nil plan staled a hint")
 	}
 	if p.Failing("https://a.com", 0) {
@@ -44,7 +46,7 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 		if p.OriginDown(u.Origin(), time.Duration(i)*time.Second) {
 			t.Fatalf("zero config outage for %s", u.Origin())
 		}
-		if _, fate := p.StaleHint(u); fate != HintFresh {
+		if _, fate := p.staleHint(u); fate != hintFresh {
 			t.Fatalf("zero config staled %s", u)
 		}
 	}
@@ -64,8 +66,8 @@ func TestDecisionsAreSeedDeterministic(t *testing.T) {
 		if a.BrownoutDelay(u.Origin()) != b.BrownoutDelay(u.Origin()) {
 			t.Fatalf("brownouts diverged at %d", i)
 		}
-		au, af := a.StaleHint(u)
-		bu, bf := b.StaleHint(u)
+		au, af := a.staleHint(u)
+		bu, bf := b.staleHint(u)
 		if au != bu || af != bf {
 			t.Fatalf("stale hints diverged at %d", i)
 		}
@@ -137,7 +139,7 @@ func TestExemptURLShieldedFromFaults(t *testing.T) {
 	if p.ResponseVerdict(root) != FaultNone {
 		t.Error("exempt URL drew a response fault")
 	}
-	if _, fate := p.StaleHint(root); fate != HintFresh {
+	if _, fate := p.staleHint(root); fate != hintFresh {
 		t.Error("exempt URL drew a stale hint")
 	}
 	other := mkURL("https://www.site.com/x.js")
@@ -151,13 +153,13 @@ func TestStaleHintManglingSameOrigin(t *testing.T) {
 	gone, redir := 0, 0
 	for i := 0; i < 100; i++ {
 		u := mkURL(fmt.Sprintf("https://cdn.site.com/a%d.css", i))
-		m, fate := p.StaleHint(u)
+		m, fate := p.staleHint(u)
 		switch fate {
-		case HintFresh:
+		case hintFresh:
 			t.Fatalf("rate 1 left %s fresh", u)
-		case HintGone:
+		case hintGone:
 			gone++
-		case HintRedirect:
+		case hintRedirect:
 			redir++
 		}
 		if m.Origin() != u.Origin() {
@@ -278,7 +280,7 @@ func TestPlanConcurrentUse(t *testing.T) {
 				p.WireConnFault("https://a.com")
 				p.OriginDown("https://a.com", time.Second)
 				p.BrownoutDelay("https://b.com")
-				p.StaleHint(u)
+				p.staleHint(u)
 				p.MarkFailing("https://c.com")
 				p.Failing("https://c.com", time.Second)
 				p.Stats()
@@ -287,5 +289,43 @@ func TestPlanConcurrentUse(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+func TestStaleHintsCopiesAndReportsRedirects(t *testing.T) {
+	var hs []hints.Hint
+	for i := 0; i < 50; i++ {
+		hs = append(hs, hints.Hint{URL: mkURL(fmt.Sprintf("https://cdn.site.com/a%d.css", i)), Priority: hints.High})
+	}
+	orig := append([]hints.Hint(nil), hs...)
+	noRedirect := func(stale, fresh urlutil.URL) { t.Fatalf("unexpected redirect %s", stale) }
+	var nilPlan *Plan
+	if got := nilPlan.StaleHints(hs, noRedirect); &got[0] != &hs[0] {
+		t.Error("nil plan did not return hs itself")
+	}
+	p := New(13, Config{StaleHintRate: 0.5, RedirectFrac: 0.5})
+	if got := p.StaleHints(nil, noRedirect); got != nil {
+		t.Errorf("empty hints came back as %v", got)
+	}
+	redirects := map[urlutil.URL]urlutil.URL{}
+	out := p.StaleHints(hs, func(stale, fresh urlutil.URL) { redirects[stale] = fresh })
+	if !reflect.DeepEqual(hs, orig) {
+		t.Fatal("StaleHints rewrote its input in place")
+	}
+	staled := 0
+	for i, h := range out {
+		if h.Priority != hs[i].Priority {
+			t.Fatalf("hint %d changed priority", i)
+		}
+		if h.URL == hs[i].URL {
+			continue
+		}
+		staled++
+		if fresh, ok := redirects[h.URL]; ok && fresh != hs[i].URL {
+			t.Errorf("redirect %s -> %s, want %s", h.URL, fresh, hs[i].URL)
+		}
+	}
+	if staled == 0 || len(redirects) == 0 || len(redirects) == staled {
+		t.Errorf("%d of %d hints staled, %d redirecting: want a mix of gone and redirect", staled, len(hs), len(redirects))
 	}
 }

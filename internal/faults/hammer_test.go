@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vroom/internal/faults"
+	"vroom/internal/hints"
 	"vroom/internal/netem"
 	"vroom/internal/urlutil"
 )
@@ -71,7 +72,7 @@ func TestPlanConcurrentVerdictHammer(t *testing.T) {
 				plan.ResponseVerdict(u)
 				plan.WireConnFault(origin)
 				plan.TruncateFrac(u)
-				plan.StaleHint(u)
+				plan.StaleHints([]hints.Hint{{URL: u}}, func(stale, fresh urlutil.URL) {})
 				if i%17 == 0 {
 					plan.MarkFailing(origin)
 				}

@@ -28,15 +28,6 @@ type Dist struct {
 // NewDist returns an empty distribution.
 func NewDist() *Dist { return &Dist{} }
 
-// FromDurations builds a distribution of seconds from durations.
-func FromDurations(ds []time.Duration) *Dist {
-	d := NewDist()
-	for _, v := range ds {
-		d.Add(v.Seconds())
-	}
-	return d
-}
-
 // Add appends a sample.
 func (d *Dist) Add(v float64) {
 	d.values = append(d.values, v)
@@ -99,29 +90,6 @@ func (d *Dist) Min() float64 { return d.Percentile(0) }
 
 // Max returns the largest sample.
 func (d *Dist) Max() float64 { return d.Percentile(100) }
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value float64
-	Frac  float64
-}
-
-// CDF returns the empirical CDF at up to points evenly spaced quantiles.
-func (d *Dist) CDF(points int) []CDFPoint {
-	if len(d.values) == 0 || points <= 0 {
-		return nil
-	}
-	d.sort()
-	if points > len(d.values) {
-		points = len(d.values)
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		idx := i*len(d.values)/points - 1
-		out = append(out, CDFPoint{Value: d.values[idx], Frac: float64(i) / float64(points)})
-	}
-	return out
-}
 
 // Summary formats the quartiles.
 func (d *Dist) Summary() string {

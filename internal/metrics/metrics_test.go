@@ -2,10 +2,8 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestPercentiles(t *testing.T) {
@@ -28,9 +26,6 @@ func TestEmptyDist(t *testing.T) {
 	d := NewDist()
 	if !math.IsNaN(d.Percentile(50)) || !math.IsNaN(d.Mean()) {
 		t.Error("empty distribution should produce NaN")
-	}
-	if d.CDF(10) != nil {
-		t.Error("empty CDF should be nil")
 	}
 }
 
@@ -74,30 +69,6 @@ func TestPercentileMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	d := NewDist()
-	for i := 1; i <= 10; i++ {
-		d.Add(float64(i))
-	}
-	pts := d.CDF(5)
-	if len(pts) != 5 {
-		t.Fatalf("points: %v", pts)
-	}
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].Value < pts[j].Value }) {
-		t.Error("CDF values not sorted")
-	}
-	if pts[len(pts)-1].Frac != 1 {
-		t.Errorf("last frac %v", pts[len(pts)-1].Frac)
-	}
-}
-
-func TestFromDurations(t *testing.T) {
-	d := FromDurations([]time.Duration{time.Second, 3 * time.Second})
-	if d.Mean() != 2 {
-		t.Errorf("mean %v", d.Mean())
 	}
 }
 

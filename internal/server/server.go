@@ -214,7 +214,11 @@ func (f *Farm) handle(rt *netsim.RoundTrip, done func(*browser.Fetched)) {
 		if f.Policy.OnlineAnalysis {
 			body = res.Body
 		}
-		hs = f.staleify(f.Resolver.HintsFor(rt.URL, body, device))
+		// Stale hints are mangled, and redirecting ones remembered so
+		// handle can answer them.
+		hs = f.Faults.StaleHints(f.Resolver.HintsFor(rt.URL, body, device), func(stale, fresh urlutil.URL) {
+			f.redirects[stale.String()] = fresh
+		})
 		if f.Trace.Enabled() {
 			f.Trace.Instant(obs.TrackServer, "hints:"+rt.URL.String(),
 				obs.Arg{Key: "count", Val: fmt.Sprint(len(hs))})
@@ -270,28 +274,6 @@ func (f *Farm) SettleQuality(r browser.Result) {
 		}
 		f.Quality.NoteQuality(u.Host, d)
 	}
-}
-
-// staleify passes served hints through the fault plan: a stale hint's URL
-// is mangled to what the resolver's outdated view carries, and redirecting
-// ones are remembered so handle can answer them.
-func (f *Farm) staleify(hs []hints.Hint) []hints.Hint {
-	if f.Faults == nil || len(hs) == 0 {
-		return hs
-	}
-	out := make([]hints.Hint, len(hs))
-	for i, h := range hs {
-		m, fate := f.Faults.StaleHint(h.URL)
-		switch fate {
-		case faults.HintRedirect:
-			f.redirects[m.String()] = h.URL
-			h.URL = m
-		case faults.HintGone:
-			h.URL = m
-		}
-		out[i] = h
-	}
-	return out
 }
 
 // push initiates the policy's pushes for an HTML response.

@@ -128,17 +128,12 @@ func (r *Report) Total() time.Duration { return r.Finished.Sub(r.Started) }
 
 // OriginConn is one origin's transport: HTTP/2 (h2.ClientConn) or an
 // HTTP/1.1 connection pool (h1.Pool) — anything that can exchange
-// request/response pairs and report push promises.
+// request/response pairs under per-attempt header and stall deadlines and
+// report push promises.
 type OriginConn interface {
-	RoundTrip(*h2.Request) (*h2.Response, error)
+	RoundTripTimeout(req *h2.Request, header, stall time.Duration) (*h2.Response, error)
 	Promised(path string) (*h2.Request, bool)
 	Close() error
-}
-
-// timeoutRoundTripper is the optional deadline-aware transport interface;
-// both h2.ClientConn and h1.Pool implement it.
-type timeoutRoundTripper interface {
-	RoundTripTimeout(*h2.Request, time.Duration, time.Duration) (*h2.Response, error)
 }
 
 // selfHealing marks transports that replace broken connections internally
@@ -940,22 +935,13 @@ func (c *Client) attempt(u urlutil.URL, fl *inflightFetch) (*h2.Response, error)
 	req := &h2.Request{Method: "GET", Scheme: u.Scheme, Authority: u.Host, Path: u.Path,
 		Header: hdr}
 	os.mReqs.Inc()
-	resp, err := c.roundTrip(cc, req)
+	resp, err := cc.RoundTripTimeout(req, c.headerTimeout(), c.stallTimeout())
 	if err != nil {
 		c.noteConnFailure(origin, cc, err)
 		return nil, err
 	}
 	c.noteSuccess(origin)
 	return resp, nil
-}
-
-// roundTrip uses the transport's deadline-aware entry point when it has
-// one.
-func (c *Client) roundTrip(cc OriginConn, req *h2.Request) (*h2.Response, error) {
-	if tr, ok := cc.(timeoutRoundTripper); ok {
-		return tr.RoundTripTimeout(req, c.headerTimeout(), c.stallTimeout())
-	}
-	return cc.RoundTrip(req)
 }
 
 func (c *Client) dropPushWaiter(key string, ch chan *h2.Response) {

@@ -34,7 +34,7 @@ func hintHeadersOf(h map[string][]string) map[string][]string {
 // resolution, on the filling request and on every hit, over h1 and h2,
 // and the hint-lookup span says which it was. Every consumer of the shared
 // answer — the h1 and h2 header writers, core.PushSet, the accountant, and
-// staleify on a second server that rewrites every hint under a fault plan —
+// the fault plan's StaleHints on a second server that rewrites every hint —
 // leaves it exactly as the table computed it.
 func TestServerServesSharedAnswerReadOnly(t *testing.T) {
 	site := webpage.NewSite("memowire", webpage.News, 2017)

@@ -8,7 +8,6 @@ package wire
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"log/slog"
 	"runtime/pprof"
 	"strconv"
@@ -295,12 +294,13 @@ func (s *Server) noteShed(st *serveTrace, origin string) {
 	}
 }
 
-// noteDegraded counts a response's degradation modes and records the
-// ladder decision against the caller's trace.
-func (s *Server) noteDegraded(modes []string, st *serveTrace, origin string) {
+// degrade tags a response's header map with the degradation modes taken,
+// counts them, and records the ladder decision against the caller's trace.
+func (s *Server) degrade(h map[string][]string, modes []string, st *serveTrace, origin string) {
 	if len(modes) == 0 {
 		return
 	}
+	h[HeaderDegraded] = []string{strings.Join(modes, ", ")}
 	s.mu.Lock()
 	for _, m := range modes {
 		s.degraded[m]++
@@ -337,25 +337,18 @@ func requestDeadline(r *h2.Request) time.Time {
 }
 
 // admit runs a request through the admission gate. On refusal it returns
-// false and the 503 the caller must answer with; the gate's slot is held
-// until release is called. The admission span covers exactly the gate
-// wait — the queueing a propagated trace exists to make visible.
-func (s *Server) admit(r *h2.Request, st *serveTrace) (release func(), refusal *h2.Response) {
+// the gate's error; otherwise the slot is held until release is called.
+// The admission span covers exactly the gate wait — the queueing a
+// propagated trace exists to make visible.
+func (s *Server) admit(r *h2.Request, st *serveTrace) (release func(), err error) {
 	as := s.child(st, "admission")
-	err := s.Gate.Acquire(requestDeadline(r))
-	if err == nil {
-		as.End(obs.Arg{Key: "result", Val: "admitted"})
-		return func() { s.Gate.Release() }, nil
+	if err := s.Gate.Acquire(requestDeadline(r)); err != nil {
+		as.End(obs.Arg{Key: "result", Val: "shed"})
+		s.noteShed(st, r.Authority)
+		return nil, err
 	}
-	as.End(obs.Arg{Key: "result", Val: "shed"})
-	s.noteShed(st, r.Authority)
-	return nil, &h2.Response{Status: 503,
-		Header: map[string][]string{
-			"content-type": {"text/plain"},
-			"retry-after":  {"1"},
-			HeaderDegraded: {DegradedShedRequest},
-		},
-		Body: []byte("server overloaded: " + err.Error())}
+	as.End(obs.Arg{Key: "result", Val: "admitted"})
+	return func() { s.Gate.Release() }, nil
 }
 
 // hintsFor resolves a document's hints through the store (multi-tenant,
@@ -367,7 +360,7 @@ func (s *Server) admit(r *h2.Request, st *serveTrace) (release func(), refusal *
 // With a store and no fault plan, hs and headers are the table's shared
 // hintstore.Answer — headers being hints.Format(hs), rendered once — and
 // are read-only here and in everything they are handed to. headers is nil
-// when the caller has to render hs itself: under a fault plan (staleify
+// when the caller has to render hs itself: under a fault plan (StaleHints
 // rewrites a copy per response) and on the fallback path.
 func (s *Server) hintsFor(u urlutil.URL, body string, degraded *[]string, st *serveTrace) (hs []hints.Hint, headers map[string][]string) {
 	var sp obs.Span
@@ -378,6 +371,9 @@ func (s *Server) hintsFor(u urlutil.URL, body string, degraded *[]string, st *se
 	defer func() {
 		sp.End(obs.Arg{Key: "source", Val: source}, obs.Arg{Key: "memo", Val: memo})
 	}()
+	// Fallback hints carry no table identity, so no staleness age.
+	var age time.Duration
+	fromStore := false
 	if s.Store != nil {
 		ans, res := s.Store.LookupAnswer(u, body)
 		if res.Restored && res.Source != hintstore.Miss {
@@ -393,12 +389,7 @@ func (s *Server) hintsFor(u urlutil.URL, body string, degraded *[]string, st *se
 			if res.Memoized {
 				memo = "hit"
 			}
-			hs, headers = ans.Hints, ans.Headers
-			if s.Faults != nil {
-				hs, headers = s.staleify(hs), nil
-			}
-			s.Acct.NoteHints(u.Host, hs, res.Age, true)
-			return hs, headers
+			hs, headers, age, fromStore = ans.Hints, ans.Headers, res.Age, true
 		case hintstore.Shed:
 			source = "shed"
 			*degraded = append(*degraded, DegradedShedHints)
@@ -406,14 +397,18 @@ func (s *Server) hintsFor(u urlutil.URL, body string, degraded *[]string, st *se
 		}
 		// Miss: the origin is not a store tenant; fall back.
 	}
-	if s.Resolver == nil {
-		return nil, nil
+	if !fromStore {
+		if s.Resolver == nil {
+			return nil, nil
+		}
+		source = "fallback"
+		hs = s.Resolver.HintsFor(u, body, s.Device)
 	}
-	source = "fallback"
-	// Fallback hints carry no table identity, so no staleness age.
-	hs = s.staleify(s.Resolver.HintsFor(u, body, s.Device))
-	s.Acct.NoteHints(u.Host, hs, 0, false)
-	return hs, nil
+	if s.Faults != nil {
+		hs, headers = s.Faults.StaleHints(hs, s.noteRedirect), nil
+	}
+	s.Acct.NoteHints(u.Host, hs, age, fromStore)
+	return hs, headers
 }
 
 // setHintHeaders attaches a document's hint headers to a response's header
@@ -465,161 +460,149 @@ func (s *Server) Drain(timeout time.Duration) []hintstore.Checkpoint {
 	return cps
 }
 
-// ServeH1 implements h1.Handler: the same replay content over HTTP/1.1.
-// Dependency hints still work (Link headers predate HTTP/2) but there is
-// no push.
-func (s *Server) ServeH1(r *h2.Request) *h2.Response {
-	if !s.Cfg.ProfileLabels {
-		return s.serveH1(r)
-	}
-	var resp *h2.Response
-	pprof.Do(context.Background(), pprof.Labels("origin", r.Authority, "phase", "serve-h1"),
-		func(context.Context) { resp = s.serveH1(r) })
-	return resp
+// reply is one request's answer as both transports send it; its header
+// fields are already in the map answer was given.
+type reply struct {
+	status int
+	body   []byte
+	// release frees the admission slot, nil when admission refused the
+	// request. How long the slot is held is the transport's call.
+	release func()
+	// hs and level are an HTML document's hints and the ladder rung read
+	// while answering it: what push decides with.
+	hs    []hints.Hint
+	level overload.Level
+	// degraded lists the degradation modes taken; the transport adds its
+	// own and tags the response (degrade).
+	degraded []string
 }
 
-func (s *Server) serveH1(r *h2.Request) *h2.Response {
-	st := s.beginServe("h1", r)
-	defer st.span.End()
-	release, refusal := s.admit(r, &st)
-	if refusal != nil {
-		return refusal
+// answer runs a request through admission and works out its response: the
+// 503 refusal, a stale-hint 301, the archive lookup and 404, an injected
+// 503, or the replayed record with, for an HTML document, its hint headers.
+// Header fields go into h. A document's hints are looked up when the server
+// sends hint headers or when it pushes over a transport that can (h2 only).
+func (s *Server) answer(proto string, r *h2.Request, st *serveTrace, h map[string][]string) (rp reply) {
+	release, err := s.admit(r, st)
+	if err != nil {
+		h["retry-after"] = []string{"1"}
+		h[HeaderDegraded] = []string{DegradedShedRequest}
+		rp.status, rp.body = text(h, 503, "server overloaded: "+err.Error())
+		return rp
 	}
-	defer release()
+	rp.release = release
 	if s.Cfg.ThinkTime > 0 {
 		time.Sleep(s.Cfg.ThinkTime)
 	}
-	s.noteRequest("h1", r.Authority)
+	s.noteRequest(proto, r.Authority)
 
 	key := "https://" + r.Authority + r.Path
 	if fresh := s.redirectFor(key); fresh != "" {
 		s.Acct.NoteRequest(r.Authority, key, false)
-		s.noteFault("stale-redirect", key, &st)
-		return &h2.Response{Status: 301,
-			Header: map[string][]string{"content-type": {"text/plain"}, "location": {fresh}},
-			Body:   []byte("moved: " + fresh)}
+		s.noteFault("stale-redirect", key, st)
+		h["location"] = []string{fresh}
+		rp.status, rp.body = text(h, 301, "moved: "+fresh)
+		return rp
 	}
 	rec, ok := s.Archive.Lookup(key)
-	if !ok {
-		s.Acct.NoteRequest(r.Authority, key, false)
-		return &h2.Response{Status: 404, Header: map[string][]string{"content-type": {"text/plain"}},
-			Body: []byte("not in archive")}
-	}
-	s.Acct.NoteRequest(r.Authority, key, rec.ResourceType() == webpage.HTML)
-	if s.faulted(rec) {
-		s.noteFault("transient-503", key, &st)
-		return &h2.Response{Status: 503, Header: map[string][]string{"content-type": {"text/plain"}},
-			Body: []byte("injected transient error")}
-	}
-	resp := &h2.Response{Status: 200, Header: map[string][]string{"content-type": {contentType(rec)}}, Body: s.body(rec)}
-	var degraded []string
-	if rec.ResourceType() == webpage.HTML && s.Cfg.SendHints {
-		if s.Gate.Level() >= overload.LevelShedHints {
-			degraded = append(degraded, DegradedShedHints)
-		} else if u, err := rec.ParsedURL(); err == nil {
-			hs, headers := s.hintsFor(u, rec.Body, &degraded, &st)
-			setHintHeaders(resp.Header, hs, headers)
-		}
-	}
-	if len(degraded) > 0 {
-		resp.Header[HeaderDegraded] = []string{strings.Join(degraded, ", ")}
-		s.noteDegraded(degraded, &st, r.Authority)
-	}
-	return resp
-}
-
-// ServeH2 implements h2.Handler.
-func (s *Server) ServeH2(w *h2.ResponseWriter, r *h2.Request) {
-	if !s.Cfg.ProfileLabels {
-		s.serveH2(w, r)
-		return
-	}
-	pprof.Do(context.Background(), pprof.Labels("origin", r.Authority, "phase", "serve-h2"),
-		func(context.Context) { s.serveH2(w, r) })
-}
-
-func (s *Server) serveH2(w *h2.ResponseWriter, r *h2.Request) {
-	st := s.beginServe("h2", r)
-	defer st.span.End()
-	release, refusal := s.admit(r, &st)
-	if refusal != nil {
-		for name, vals := range refusal.Header {
-			w.Header()[name] = vals
-		}
-		w.WriteHeader(refusal.Status)
-		w.Write(refusal.Body)
-		return
-	}
-	defer release()
-	if s.Cfg.ThinkTime > 0 {
-		time.Sleep(s.Cfg.ThinkTime)
-	}
-	s.noteRequest("h2", r.Authority)
-
-	key := "https://" + r.Authority + r.Path
-	if fresh := s.redirectFor(key); fresh != "" {
-		s.Acct.NoteRequest(r.Authority, key, false)
-		s.noteFault("stale-redirect", key, &st)
-		w.Header()["content-type"] = []string{"text/plain"}
-		w.Header()["location"] = []string{fresh}
-		w.WriteHeader(301)
-		w.Write([]byte("moved: " + fresh))
-		return
-	}
-	rec, ok := s.Archive.Lookup(key)
-	if !ok {
+	if !ok && r.Scheme != "https" {
 		// Tolerate scheme differences in lookups.
 		rec, ok = s.Archive.Lookup(r.Scheme + "://" + r.Authority + r.Path)
 	}
 	if !ok {
 		s.Acct.NoteRequest(r.Authority, key, false)
-		w.Header()["content-type"] = []string{"text/plain"}
-		w.WriteHeader(404)
-		w.Write([]byte("not in archive: " + key))
-		return
+		rp.status, rp.body = text(h, 404, "not in archive: "+key)
+		return rp
 	}
-	s.Acct.NoteRequest(r.Authority, key, rec.ResourceType() == webpage.HTML)
+	isHTML := rec.ResourceType() == webpage.HTML
+	s.Acct.NoteRequest(r.Authority, key, isHTML)
 	if s.faulted(rec) {
-		s.noteFault("transient-503", key, &st)
-		w.Header()["content-type"] = []string{"text/plain"}
-		w.WriteHeader(503)
-		w.Write([]byte("injected transient error"))
-		return
+		s.noteFault("transient-503", key, st)
+		rp.status, rp.body = text(h, 503, "injected transient error")
+		return rp
 	}
 
-	w.Header()["content-type"] = []string{contentType(rec)}
-	// The degradation ladder, read once per response: shed push first,
-	// hints next, never the response body itself.
-	level := s.Gate.Level()
-	var degraded []string
-	var hs []hints.Hint
-	var headers map[string][]string
-	if rec.ResourceType() == webpage.HTML && (s.Cfg.SendHints || s.Cfg.Push) {
-		if level >= overload.LevelShedHints {
-			degraded = append(degraded, DegradedShedHints)
+	h["content-type"] = []string{contentType(rec)}
+	rp.status, rp.body = 200, s.body(rec)
+	if isHTML && (s.Cfg.SendHints || proto == "h2" && s.Cfg.Push) {
+		// The degradation ladder, read once per response: shed push first,
+		// hints next, never the response body itself.
+		rp.level = s.Gate.Level()
+		var headers map[string][]string
+		if rp.level >= overload.LevelShedHints {
+			rp.degraded = append(rp.degraded, DegradedShedHints)
 		} else if u, err := rec.ParsedURL(); err == nil {
-			hs, headers = s.hintsFor(u, rec.Body, &degraded, &st)
+			rp.hs, headers = s.hintsFor(u, rec.Body, &rp.degraded, st)
+		}
+		if s.Cfg.SendHints && len(rp.hs) > 0 {
+			setHintHeaders(h, rp.hs, headers)
 		}
 	}
-	if s.Cfg.SendHints && len(hs) > 0 {
-		setHintHeaders(w.Header(), hs, headers)
-	}
-	if s.Cfg.Push && len(hs) > 0 {
-		if level >= overload.LevelShedPush {
-			degraded = append(degraded, DegradedShedPush)
-		} else if dl := requestDeadline(r); !dl.IsZero() && time.Until(dl) < 10*time.Millisecond {
-			// The client is nearly out of budget: speculative bytes now
-			// would only compete with the response it is waiting for.
-			degraded = append(degraded, DegradedShedPush)
-		} else {
-			s.push(w, r, hs, &st)
+	return rp
+}
+
+// text writes a plain-text answer's content type and returns its status
+// and body.
+func text(h map[string][]string, status int, msg string) (int, []byte) {
+	h["content-type"] = []string{"text/plain"}
+	return status, []byte(msg)
+}
+
+// ServeH1 implements h1.Handler: the same replay content over HTTP/1.1.
+// Dependency hints still work (Link headers predate HTTP/2) but there is
+// no push. The admission slot is released before the transport writes the
+// response.
+func (s *Server) ServeH1(r *h2.Request) (resp *h2.Response) {
+	s.labeled(r, "serve-h1", func() {
+		st := s.beginServe("h1", r)
+		defer st.span.End()
+		h := make(map[string][]string)
+		rp := s.answer("h1", r, &st, h)
+		if rp.release != nil {
+			defer rp.release()
 		}
+		s.degrade(h, rp.degraded, &st, r.Authority)
+		resp = &h2.Response{Status: rp.status, Header: h, Body: rp.body}
+	})
+	return resp
+}
+
+// ServeH2 implements h2.Handler. Push is the only step HTTP/2 adds to the
+// answer; the admission slot is held until the body is written.
+func (s *Server) ServeH2(w *h2.ResponseWriter, r *h2.Request) {
+	s.labeled(r, "serve-h2", func() {
+		st := s.beginServe("h2", r)
+		defer st.span.End()
+		rp := s.answer("h2", r, &st, w.Header())
+		if rp.release != nil {
+			defer rp.release()
+		}
+		if s.Cfg.Push && len(rp.hs) > 0 {
+			// Shed push under queueing, and when the client is nearly out of
+			// budget: speculative bytes now would only compete with the
+			// response it is waiting for.
+			if dl := requestDeadline(r); rp.level >= overload.LevelShedPush ||
+				!dl.IsZero() && time.Until(dl) < 10*time.Millisecond {
+				rp.degraded = append(rp.degraded, DegradedShedPush)
+			} else {
+				s.push(w, r, rp.hs, &st)
+			}
+		}
+		s.degrade(w.Header(), rp.degraded, &st, r.Authority)
+		w.WriteHeader(rp.status)
+		w.Write(rp.body)
+	})
+}
+
+// labeled runs serve under pprof labels (origin, phase) when ProfileLabels
+// is on, and plainly otherwise.
+func (s *Server) labeled(r *h2.Request, phase string, serve func()) {
+	if !s.Cfg.ProfileLabels {
+		serve()
+		return
 	}
-	if len(degraded) > 0 {
-		w.Header()[HeaderDegraded] = []string{strings.Join(degraded, ", ")}
-		s.noteDegraded(degraded, &st, r.Authority)
-	}
-	w.Write(s.body(rec))
+	pprof.Do(context.Background(), pprof.Labels("origin", r.Authority, "phase", phase),
+		func(context.Context) { serve() })
 }
 
 // push pushes same-origin high-priority dependencies, once per URL. Each
@@ -672,31 +655,12 @@ func (s *Server) push(w *h2.ResponseWriter, r *h2.Request, hs []hints.Hint, st *
 	}
 }
 
-// staleify passes served hints through the fault plan: a stale hint's URL
-// is mangled to what an outdated resolver view would carry, and redirecting
-// ones are remembered so the lookup path can answer them with a 301. Mangled
-// URLs stay same-origin, so they never land on a push stream (not in the
-// archive) and the client's fetch reaches this server. hs may be the store's
-// shared answer: it is copied, never rewritten in place.
-func (s *Server) staleify(hs []hints.Hint) []hints.Hint {
-	if s.Faults == nil || len(hs) == 0 {
-		return hs
-	}
-	out := make([]hints.Hint, len(hs))
-	for i, h := range hs {
-		m, fate := s.Faults.StaleHint(h.URL)
-		switch fate {
-		case faults.HintRedirect:
-			s.mu.Lock()
-			s.redirects[m.String()] = h.URL.String()
-			s.mu.Unlock()
-			h.URL = m
-		case faults.HintGone:
-			h.URL = m
-		}
-		out[i] = h
-	}
-	return out
+// noteRedirect remembers a stale hint the fault plan redirects, so the
+// lookup path can answer the client's fetch of it with a 301.
+func (s *Server) noteRedirect(stale, fresh urlutil.URL) {
+	s.mu.Lock()
+	s.redirects[stale.String()] = fresh.String()
+	s.mu.Unlock()
 }
 
 // redirectFor returns the fresh URL a stale-hint redirect points at, or "".
@@ -776,6 +740,3 @@ func TrainResolver(site *webpage.Site, at time.Time, device webpage.DeviceClass)
 }
 
 var _ h2.Handler = (*Server)(nil)
-
-// ErrNotServed reports a URL outside the archive.
-var ErrNotServed = fmt.Errorf("wire: resource not in archive")
