@@ -42,7 +42,6 @@ import (
 
 	"vroom/internal/faults"
 	"vroom/internal/h1"
-	"vroom/internal/hints"
 	"vroom/internal/netem"
 	"vroom/internal/obs"
 	"vroom/internal/telemetry"
@@ -171,7 +170,7 @@ func main() {
 			if f.Failed() {
 				mark = "!"
 			}
-			fmt.Printf("%s %-4s %7dB %8.1fms  %s\n", mark, prioName(f.Priority), f.Bytes,
+			fmt.Printf("%s %-4s %7dB %8.1fms  %s\n", mark, f.Priority, f.Bytes,
 				f.Done.Sub(rep.Started).Seconds()*1000, f.URL)
 		}
 	}
@@ -234,15 +233,4 @@ func writeMetrics(path string, reg *telemetry.Registry) error {
 		return err
 	}
 	return f.Close()
-}
-
-func prioName(p hints.Priority) string {
-	switch p {
-	case hints.High:
-		return "high"
-	case hints.Semi:
-		return "semi"
-	default:
-		return "low"
-	}
 }

@@ -7,27 +7,6 @@ import (
 	"vroom/internal/webpage"
 )
 
-// refPriority maps a discovered reference to Vroom's priority classes
-// (Table 1): resources needing processing are high, async scripts semi,
-// everything else — and whole iframe subtrees — low. The type is inferred
-// from the URL the way a browser classifies a request before the response
-// arrives.
-func refPriority(d webpage.Discovered) hints.Priority {
-	switch webpage.TypeFromURL(d.URL) {
-	case webpage.HTML:
-		return hints.Low // iframes and their subtrees (footnote 4)
-	case webpage.CSS:
-		return hints.High
-	case webpage.JS:
-		if d.Async {
-			return hints.Semi
-		}
-		return hints.High
-	default:
-		return hints.Low
-	}
-}
-
 // beginProcessing is invoked when an entry is both required and arrived.
 func (l *Load) beginProcessing(e *Entry) {
 	if e.processingStarted {
@@ -99,7 +78,7 @@ func (l *Load) processDocument(e *Entry) {
 				child.gated = true
 			}
 		}
-		l.Require(d.URL, refPriority(d))
+		l.Require(d.URL, d.Priority())
 	}
 
 	// Build the parse/execute step sequence.
@@ -227,7 +206,7 @@ func (l *Load) finishDoc(doc *docState) {
 	doc.finished = true
 	defer l.setVia(doc.entry)()
 	for _, d := range doc.inline {
-		l.Require(d.URL, refPriority(d))
+		l.Require(d.URL, d.Priority())
 	}
 	for _, d := range doc.iframes {
 		l.Require(d.URL, hints.Low)
@@ -261,7 +240,7 @@ func (l *Load) discoverScriptChildren(e *Entry, viaDocPump bool) []*Entry {
 	defer l.setVia(e)()
 	var blocking []*Entry
 	for _, d := range webpage.ExtractRefs(e.Res) {
-		prio := refPriority(d)
+		prio := d.Priority()
 		typ := webpage.TypeFromURL(d.URL)
 		if typ == webpage.JS {
 			child := l.Entry(d.URL)
@@ -289,7 +268,7 @@ func (l *Load) processCSS(e *Entry) {
 		defer l.setVia(e)()
 		var imports []*Entry
 		for _, d := range webpage.ExtractRefs(e.Res) {
-			child := l.Require(d.URL, refPriority(d))
+			child := l.Require(d.URL, d.Priority())
 			if webpage.TypeFromURL(d.URL) == webpage.CSS && child != e {
 				imports = append(imports, child)
 			}

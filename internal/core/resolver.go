@@ -136,16 +136,16 @@ func (r *Resolver) Train(site *webpage.Site, now time.Time, device webpage.Devic
 				dl = &docLoads{}
 				perDoc[key] = dl
 			}
-			if r.cfg.IncludeIframeDescendants {
-				dl.lists = append(dl.lists, docDepsAll(sn, res))
-			} else {
+			deps := docDeps(sn, res, r.cfg.IncludeIframeDescendants)
+			if !r.cfg.IncludeIframeDescendants {
 				// A domain knows which of its content it personalizes;
 				// deps derived from personalized content in the crawler's
 				// own view would be wrong for real users, so the offline
 				// stable set excludes them (§4.2). Online analysis of the
 				// actually-served body covers them correctly.
-				dl.lists = append(dl.lists, dropPersonalized(sn, DocDeps(sn, res)))
+				deps = dropPersonalized(sn, deps)
 			}
+			dl.lists = append(dl.lists, deps)
 		}
 	}
 	for key, dl := range perDoc {
@@ -193,12 +193,15 @@ func intersect(lists [][]Dep) []Dep {
 // their content may be personalized by another domain, so Vroom leaves them
 // to the domain that serves them (§4.2, Fig. 10). The iframe URL itself is
 // included (it is visible in this document's markup).
-func DocDeps(sn *webpage.Snapshot, doc *webpage.Resource) []Dep {
+func DocDeps(sn *webpage.Snapshot, doc *webpage.Resource) []Dep { return docDeps(sn, doc, false) }
+
+// docDeps walks doc's subtree breadth-first: the document's own refs first
+// (parse order), then each processed child's refs — approximating client
+// processing order. With iframes it descends into embedded HTML documents
+// too, the IncludeIframeDescendants ablation.
+func docDeps(sn *webpage.Snapshot, doc *webpage.Resource, iframes bool) []Dep {
 	var out []Dep
 	seen := map[string]bool{doc.URL.String(): true}
-	order := 0
-	// Breadth-first: the document's own refs first (parse order), then
-	// each processed child's refs — approximating client processing order.
 	frontier := []*webpage.Resource{doc}
 	for len(frontier) > 0 {
 		var next []*webpage.Resource
@@ -209,16 +212,9 @@ func DocDeps(sn *webpage.Snapshot, doc *webpage.Resource) []Dep {
 					continue
 				}
 				seen[k] = true
-				out = append(out, Dep{URL: d.URL, Priority: depPriority(d), Order: order})
-				order++
-				child, ok := sn.LookupString(k)
-				if !ok {
-					continue
-				}
-				if child.Type == webpage.HTML {
-					continue // do not descend into embedded documents
-				}
-				if child.Type.NeedsProcessing() {
+				out = append(out, Dep{URL: d.URL, Priority: d.Priority(), Order: len(out)})
+				if child, ok := sn.LookupString(k); ok && child.Type.NeedsProcessing() &&
+					(iframes || child.Type != webpage.HTML) {
 					next = append(next, child)
 				}
 			}
@@ -239,52 +235,6 @@ func dropPersonalized(sn *webpage.Snapshot, deps []Dep) []Dep {
 		out = append(out, d)
 	}
 	return out
-}
-
-// docDepsAll is the ablation variant of DocDeps that descends into embedded
-// HTML documents as well.
-func docDepsAll(sn *webpage.Snapshot, doc *webpage.Resource) []Dep {
-	var out []Dep
-	seen := map[string]bool{doc.URL.String(): true}
-	order := 0
-	frontier := []*webpage.Resource{doc}
-	for len(frontier) > 0 {
-		var next []*webpage.Resource
-		for _, parent := range frontier {
-			for _, d := range webpage.ExtractRefs(parent) {
-				k := d.URL.String()
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				out = append(out, Dep{URL: d.URL, Priority: depPriority(d), Order: order})
-				order++
-				if child, ok := sn.LookupString(k); ok && child.Type.NeedsProcessing() {
-					next = append(next, child)
-				}
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
-// depPriority classifies a dependency per Table 1, from information the
-// server has (URL type and how the reference was declared).
-func depPriority(d webpage.Discovered) hints.Priority {
-	switch webpage.TypeFromURL(d.URL) {
-	case webpage.HTML:
-		return hints.Low // embedded documents and their subtrees
-	case webpage.CSS:
-		return hints.High
-	case webpage.JS:
-		if d.Async {
-			return hints.Semi
-		}
-		return hints.High
-	default:
-		return hints.Low
-	}
 }
 
 // Stable returns the offline stable set for a document and device class,
@@ -309,7 +259,7 @@ func (r *Resolver) HintsFor(doc urlutil.URL, body string, device webpage.DeviceC
 				continue
 			}
 			seen[k] = true
-			deps = append(deps, Dep{URL: d.URL, Priority: depPriority(d), Order: i})
+			deps = append(deps, Dep{URL: d.URL, Priority: d.Priority(), Order: i})
 		}
 	}
 	online := len(deps)

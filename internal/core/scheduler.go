@@ -6,42 +6,23 @@ import (
 	"vroom/internal/obs"
 )
 
-// StagedScheduler is Vroom's client-side request scheduler (§4.3, §5.2).
-//
-// High-priority resources — everything that must be parsed or executed —
-// are fetched the moment they are hinted or discovered, in the order the
-// hints list them (which is client processing order). Semi-important and
-// unimportant resources are held back: the semi stage opens once every
-// known high-priority resource has been received, and the low stage once
-// the semi stage drains. This keeps the access link clear for the resources
-// the CPU is waiting on, so receipt order tracks processing order (Fig. 11).
+// StagedScheduler is Vroom's client-side request scheduler (§4.3, §5.2): the
+// browser.Scheduler adapter over the Stages gate. High-priority resources go
+// out the moment they are hinted or discovered, in hint (processing) order;
+// semi and low ones wait for their stage, which keeps the access link clear
+// for what the CPU is waiting on, so receipt order tracks processing order
+// (Fig. 11). The adapter adds only the simulator's own parts: skipping
+// entries already in flight, "hold:" spans and "stage:" instants.
 type StagedScheduler struct {
-	stage       hints.Priority // highest priority class currently allowed out
-	rootArrived bool
-	pending     map[hints.Priority][]*browser.Entry
-	outstanding map[hints.Priority]int
-	issued      map[string]hints.Priority
-	// queued records the priority class each held-back resource currently
-	// waits under, so a later hint or requirement at a higher priority can
-	// re-file it instead of leaving it behind a slower stage gate.
-	queued map[string]hints.Priority
+	gate Stages[*browser.Entry]
 	// held tracks the open "hold:" span of each queued resource so the
 	// blame decomposition can see exactly how long the stage gate delayed
 	// each fetch.
-	held map[string]obs.Span
+	held map[*browser.Entry]obs.Span
 }
 
 // NewStagedScheduler returns a scheduler at the high stage.
-func NewStagedScheduler() *StagedScheduler {
-	return &StagedScheduler{
-		stage:       hints.High,
-		pending:     make(map[hints.Priority][]*browser.Entry),
-		outstanding: make(map[hints.Priority]int),
-		issued:      make(map[string]hints.Priority),
-		queued:      make(map[string]hints.Priority),
-		held:        make(map[string]obs.Span),
-	}
-}
+func NewStagedScheduler() *StagedScheduler { return &StagedScheduler{} }
 
 // Name implements browser.Scheduler.
 func (s *StagedScheduler) Name() string { return "vroom-staged" }
@@ -52,65 +33,40 @@ func (s *StagedScheduler) Start(*browser.Load) {}
 // OnHint implements browser.Scheduler: hinted resources are prefetched
 // according to their stage.
 func (s *StagedScheduler) OnHint(l *browser.Load, e *browser.Entry, h hints.Hint) {
-	s.fetchOrQueue(l, e, h.Priority)
+	s.want(l, e, h.Priority)
 }
 
 // OnRequired implements browser.Scheduler: real discoveries follow the same
 // stage discipline; high-priority needs always go out immediately.
 func (s *StagedScheduler) OnRequired(l *browser.Load, e *browser.Entry) {
-	s.fetchOrQueue(l, e, e.Priority)
+	s.want(l, e, e.Priority)
 }
 
-func (s *StagedScheduler) fetchOrQueue(l *browser.Load, e *browser.Entry, p hints.Priority) {
+func (s *StagedScheduler) want(l *browser.Load, e *browser.Entry, p hints.Priority) {
 	if e.State != browser.StateKnown {
 		return // already in flight or arrived
 	}
-	if p <= s.stage {
-		s.issue(l, e, p)
+	if s.gate.Want(e, p) {
+		s.fetch(l, e)
 		return
 	}
-	key := e.URL.String()
-	old, queuedBefore := s.queued[key]
-	if queuedBefore && p >= old {
-		return // already waiting under this or a more urgent class
+	tr := l.Tracer()
+	if _, open := s.held[e]; open || !tr.Enabled() {
+		return
 	}
-	if queuedBefore {
-		// Upgrade: a resource hinted at a low priority is now needed at a
-		// higher one — re-file it so it goes out when the earlier stage
-		// opens rather than sitting behind the old gate.
-		s.pending[old] = removeEntry(s.pending[old], e)
-	}
-	s.queued[key] = p
-	s.pending[p] = append(s.pending[p], e)
-	if !queuedBefore {
-		if tr := l.Tracer(); tr.Enabled() {
-			s.held[key] = tr.Begin(obs.TrackSched, "hold:"+key,
-				obs.Arg{Key: "prio", Val: p.String()})
+	if _, queued := s.gate.Queued(e); queued {
+		if s.held == nil {
+			s.held = make(map[*browser.Entry]obs.Span)
 		}
+		s.held[e] = tr.Begin(obs.TrackSched, "hold:"+e.URL.String(),
+			obs.Arg{Key: "prio", Val: p.String()})
 	}
 }
 
-func removeEntry(list []*browser.Entry, e *browser.Entry) []*browser.Entry {
-	for i, x := range list {
-		if x == e {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
-func (s *StagedScheduler) issue(l *browser.Load, e *browser.Entry, p hints.Priority) {
-	if e.State != browser.StateKnown {
-		return
-	}
-	key := e.URL.String()
-	if sp, ok := s.held[key]; ok {
+func (s *StagedScheduler) fetch(l *browser.Load, e *browser.Entry) {
+	if sp, ok := s.held[e]; ok {
 		sp.End()
-		delete(s.held, key)
-	}
-	if _, dup := s.issued[key]; !dup {
-		s.issued[key] = p
-		s.outstanding[p]++
+		delete(s.held, e)
 	}
 	l.FetchNow(e)
 }
@@ -119,45 +75,23 @@ func (s *StagedScheduler) issue(l *browser.Load, e *browser.Entry, p hints.Prior
 // fetches and may open the next stage.
 func (s *StagedScheduler) OnArrived(l *browser.Load, e *browser.Entry) {
 	if e.URL == l.Root {
-		s.rootArrived = true
+		s.gate.RootArrived()
 	}
-	key := e.URL.String()
-	if p, ok := s.issued[key]; ok {
-		delete(s.issued, key)
-		s.outstanding[p]--
-	}
-	s.advance(l)
-}
-
-// advance opens the semi stage once all known high-priority fetches have
-// been received (and the root's hints are in), then the low stage once the
-// semi stage drains.
-func (s *StagedScheduler) advance(l *browser.Load) {
+	s.gate.Arrived(e)
 	for {
-		switch {
-		case s.stage == hints.High && s.rootArrived && s.outstanding[hints.High] == 0:
-			s.stage = hints.Semi
-			if tr := l.Tracer(); tr.Enabled() {
-				tr.Instant(obs.TrackSched, "stage:semi")
-			}
-			s.flush(l, hints.Semi)
-		case s.stage == hints.Semi && s.outstanding[hints.High] == 0 && s.outstanding[hints.Semi] == 0:
-			s.stage = hints.Low
-			if tr := l.Tracer(); tr.Enabled() {
-				tr.Instant(obs.TrackSched, "stage:low")
-			}
-			s.flush(l, hints.Low)
-			return
-		default:
+		p, queue, ok := s.gate.Release()
+		if !ok {
 			return
 		}
-	}
-}
-
-func (s *StagedScheduler) flush(l *browser.Load, p hints.Priority) {
-	queue := s.pending[p]
-	s.pending[p] = nil
-	for _, e := range queue {
-		s.issue(l, e, p)
+		if tr := l.Tracer(); tr.Enabled() {
+			tr.Instant(obs.TrackSched, "stage:"+p.String())
+		}
+		for _, q := range queue {
+			if q.State != browser.StateKnown {
+				s.gate.Arrived(q) // pushed meanwhile: nothing to send
+				continue
+			}
+			s.fetch(l, q)
+		}
 	}
 }

@@ -179,28 +179,24 @@ func TestStagedSchedulerUpgradesQueuedPriority(t *testing.T) {
 	l.Hint(hints.Hint{URL: imgB, Priority: hints.Low})
 	l.Hint(hints.Hint{URL: imgA, Priority: hints.Semi}) // the upgrade
 
-	keyA := imgA.String()
-	if got := sched.queued[keyA]; got != hints.Semi {
-		t.Errorf("queued[%s] = %v, want %v", keyA, got, hints.Semi)
+	a, b := l.Entry(imgA), l.Entry(imgB)
+	if p, ok := sched.gate.Queued(a); !ok || p != hints.Semi {
+		t.Errorf("upgraded entry queued under %v (queued=%v), want %v", p, ok, hints.Semi)
 	}
-	for _, e := range sched.pending[hints.Low] {
-		if e.URL == imgA {
-			t.Error("upgraded entry still filed under the Low gate")
-		}
+	if p, ok := sched.gate.Queued(b); !ok || p != hints.Low {
+		t.Errorf("other entry queued under %v (queued=%v), want %v", p, ok, hints.Low)
 	}
-	found := false
-	for _, e := range sched.pending[hints.Semi] {
-		if e.URL == imgA {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("upgraded entry not filed under the Semi gate")
+	// Re-filed, not copied: the upgraded entry left the Low queue.
+	if n := sched.gate.Pending(); n != 2 {
+		t.Errorf("gate holds %d entries, want 2", n)
 	}
 	// A downgrade attempt must not move it back.
 	l.Hint(hints.Hint{URL: imgA, Priority: hints.Low})
-	if got := sched.queued[keyA]; got != hints.Semi {
-		t.Errorf("after downgrade attempt queued[%s] = %v, want %v", keyA, got, hints.Semi)
+	if p, _ := sched.gate.Queued(a); p != hints.Semi {
+		t.Errorf("after downgrade attempt queued under %v, want %v", p, hints.Semi)
+	}
+	if n := sched.gate.Pending(); n != 2 {
+		t.Errorf("after downgrade attempt gate holds %d entries, want 2", n)
 	}
 
 	if _, err := eng.Run(3_000_000); err != nil {

@@ -111,7 +111,7 @@ func (r *Resolver) HintsForPage(site *webpage.Site, doc urlutil.URL, body string
 			k := d.URL.String()
 			if !seen[k] {
 				seen[k] = true
-				deps = append(deps, Dep{URL: d.URL, Priority: depPriority(d), Order: i})
+				deps = append(deps, Dep{URL: d.URL, Priority: d.Priority(), Order: i})
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"vroom/internal/browser"
-	"vroom/internal/hints"
 )
 
 // Options control waterfall rendering.
@@ -100,7 +99,7 @@ func Waterfall(res browser.Result, opts Options) string {
 		if rt.Pushed {
 			mark = 'P'
 		}
-		fmt.Fprintf(&b, "%c %-4s %-37s|%s|\n", mark, prioShort(rt.Priority), shorten(rt.URL, 37), line)
+		fmt.Fprintf(&b, "%c %-4s %-37s|%s|\n", mark, rt.Priority, shorten(rt.URL, 37), line)
 	}
 	fmt.Fprintf(&b, "legend: '.' held by scheduler  '-' in flight  '#' arrived  '=' processing  'P' pushed\n")
 	return b.String()
@@ -124,17 +123,6 @@ func timeAxis(total time.Duration, width int) string {
 		axis[c] = '|'
 	}
 	return string(axis)
-}
-
-func prioShort(p hints.Priority) string {
-	switch p {
-	case hints.High:
-		return "high"
-	case hints.Semi:
-		return "semi"
-	default:
-		return "low"
-	}
 }
 
 func shorten(u string, n int) string {

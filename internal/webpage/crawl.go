@@ -2,6 +2,7 @@ package webpage
 
 import (
 	"vroom/internal/cssparse"
+	"vroom/internal/hints"
 	"vroom/internal/htmlparse"
 	"vroom/internal/jsparse"
 	"vroom/internal/urlutil"
@@ -28,6 +29,26 @@ type Discovered struct {
 	// Offset is the byte position of the reference in the parent body,
 	// used to model incremental parsing; 0 when unknown.
 	Offset int
+}
+
+// Priority classifies the reference into Vroom's priority classes (Table 1)
+// from what is known before the response arrives — the URL's type and how
+// the reference was declared: stylesheets and synchronous scripts are High,
+// async scripts Semi, and everything else Low, embedded documents included
+// (their subtrees follow them, footnote 4). The simulated browser, the
+// resolver and the wire client all classify with it.
+func (d Discovered) Priority() hints.Priority {
+	switch TypeFromURL(d.URL) {
+	case CSS:
+		return hints.High
+	case JS:
+		if d.Async {
+			return hints.Semi
+		}
+		return hints.High
+	default:
+		return hints.Low
+	}
 }
 
 // TypeFromURL infers a resource type from the URL's path extension, the way

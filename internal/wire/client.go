@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vroom/internal/core"
 	"vroom/internal/h2"
 	"vroom/internal/hints"
 	"vroom/internal/obs"
@@ -230,13 +231,8 @@ type Client struct {
 	seen        map[string]bool
 	inflight    map[string]*inflightFetch
 	retriesUsed int
-	outstanding int
-	stage       hints.Priority
-	highOut     int
-	semiOut     int
-	rootDone    bool
-	pendSemi    []fetchJob
-	pendLow     []fetchJob
+	// gate holds back Semi and Low fetches under Staged (unused otherwise).
+	gate        core.Stages[urlutil.URL]
 	pushedResp  map[string]*h2.Response
 	pushWaiters map[string][]chan *h2.Response
 	// Push-quality ledger: when each pushed response arrived (for lead
@@ -290,11 +286,6 @@ type inflightFetch struct {
 	// on the fetch span. Empty when propagation is off. Written once by the
 	// fetch goroutine before any attempt; never read by other goroutines.
 	flow string
-}
-
-type fetchJob struct {
-	u    urlutil.URL
-	prio hints.Priority
 }
 
 // fetchOutcome carries a fetch's failure typing back to the recorder.
@@ -402,7 +393,7 @@ func (c *Client) LoadPage(root urlutil.URL) (*Report, error) {
 	c.pushArrival = make(map[string]time.Time)
 	c.pushClaimed = make(map[string]bool)
 	c.pushQual = make(map[string]*PushQuality)
-	c.stage = hints.High
+	c.gate = core.Stages[urlutil.URL]{}
 	c.report = &Report{Root: root.String(), Started: time.Now()}
 	c.doneCh = make(chan struct{})
 	c.cancel = make(chan struct{})
@@ -450,15 +441,16 @@ func (c *Client) LoadPage(root urlutil.URL) (*Report, error) {
 			c.report.Retries += fl.retries
 		}
 		c.inflight = make(map[string]*inflightFetch)
-		for _, j := range append(append([]fetchJob{}, c.pendSemi...), c.pendLow...) {
-			c.report.Fetches = append(c.report.Fetches, FetchRecord{
-				URL: j.u.String(), Priority: j.prio, Start: now, Done: now,
-				Err:     "wire: load deadline exceeded before fetch started",
-				ErrKind: FetchDeadline, TimedOut: true,
-			})
-			c.report.Failed++
+		for p, queue := range c.gate.Drain() {
+			for _, u := range queue {
+				c.report.Fetches = append(c.report.Fetches, FetchRecord{
+					URL: u.String(), Priority: hints.Priority(p), Start: now, Done: now,
+					Err:     "wire: load deadline exceeded before fetch started",
+					ErrKind: FetchDeadline, TimedOut: true,
+				})
+				c.report.Failed++
+			}
 		}
-		c.pendSemi, c.pendLow = nil, nil
 	}
 	c.report.Finished = time.Now()
 	// Pushes the page never referenced are wasted bandwidth; record them.
@@ -515,35 +507,27 @@ func (c *Client) LoadPage(root urlutil.URL) (*Report, error) {
 	return report, nil
 }
 
-// enqueue schedules a fetch according to the stage discipline. Caller holds
-// c.mu.
+// enqueue schedules a fetch: at once, or under Staged when the gate says
+// so. A URL the gate still holds is handed to it again, so one the page now
+// needs at a more urgent class moves up. Caller holds c.mu.
 func (c *Client) enqueue(u urlutil.URL, prio hints.Priority) {
 	key := u.String()
 	if c.seen[key] {
-		return
+		if !c.Staged {
+			return
+		}
+		if _, held := c.gate.Queued(u); !held {
+			return
+		}
 	}
 	c.seen[key] = true
-	if c.Staged && prio > c.stage {
-		job := fetchJob{u: u, prio: prio}
-		if prio == hints.Semi {
-			c.pendSemi = append(c.pendSemi, job)
-		} else {
-			c.pendLow = append(c.pendLow, job)
-		}
-		return
+	if !c.Staged || c.gate.Want(u, prio) {
+		c.issue(u, prio)
 	}
-	c.issue(u, prio)
 }
 
 // issue starts a fetch goroutine. Caller holds c.mu.
 func (c *Client) issue(u urlutil.URL, prio hints.Priority) {
-	c.outstanding++
-	switch prio {
-	case hints.High:
-		c.highOut++
-	case hints.Semi:
-		c.semiOut++
-	}
 	// Register before the goroutine exists so a load deadline always finds
 	// (and records) every issued fetch.
 	c.inflight[u.String()] = &inflightFetch{prio: prio, start: time.Now()}
@@ -599,7 +583,7 @@ func (c *Client) fetch(u urlutil.URL, prio hints.Priority) {
 
 	// Discover referenced resources and hints before re-locking; relative
 	// references resolve against the post-redirect URL.
-	var discovered []fetchJob
+	var discovered []hints.Hint
 	if out.err == nil && resp.Status == 200 {
 		discovered = c.analyze(out.finalURL, resp)
 	}
@@ -623,46 +607,29 @@ func (c *Client) fetch(u urlutil.URL, prio hints.Priority) {
 	if rec.Degraded != "" {
 		c.report.Degraded++
 	}
-	if key == c.report.Root {
-		c.rootDone = true
+	for _, h := range discovered {
+		c.enqueue(h.URL, h.Priority)
 	}
-	for _, j := range discovered {
-		c.enqueue(j.u, j.prio)
+	if c.Staged {
+		if key == c.report.Root {
+			c.gate.RootArrived()
+		}
+		c.gate.Arrived(u)
+		for {
+			p, queue, ok := c.gate.Release()
+			if !ok {
+				break
+			}
+			for _, q := range queue {
+				c.issue(q, p)
+			}
+		}
 	}
-	c.outstanding--
-	switch prio {
-	case hints.High:
-		c.highOut--
-	case hints.Semi:
-		c.semiOut--
-	}
-	c.advance()
 	c.maybeFinish()
 }
 
-// advance opens later stages as earlier ones drain. Caller holds c.mu.
-func (c *Client) advance() {
-	if !c.Staged {
-		return
-	}
-	if c.stage == hints.High && c.rootDone && c.highOut == 0 {
-		c.stage = hints.Semi
-		for _, j := range c.pendSemi {
-			c.issue(j.u, j.prio)
-		}
-		c.pendSemi = nil
-	}
-	if c.stage == hints.Semi && c.highOut == 0 && c.semiOut == 0 {
-		c.stage = hints.Low
-		for _, j := range c.pendLow {
-			c.issue(j.u, j.prio)
-		}
-		c.pendLow = nil
-	}
-}
-
 func (c *Client) maybeFinish() {
-	if c.finished || c.outstanding > 0 || len(c.pendSemi) > 0 || len(c.pendLow) > 0 {
+	if c.finished || len(c.inflight) > 0 || c.gate.Pending() > 0 {
 		return
 	}
 	c.finished = true
@@ -670,27 +637,13 @@ func (c *Client) maybeFinish() {
 }
 
 // analyze extracts hints and body references from a response.
-func (c *Client) analyze(u urlutil.URL, resp *h2.Response) []fetchJob {
-	var jobs []fetchJob
-	for _, h := range hints.Parse(resp.Header) {
-		jobs = append(jobs, fetchJob{u: h.URL, prio: h.Priority})
-	}
+func (c *Client) analyze(u urlutil.URL, resp *h2.Response) []hints.Hint {
+	jobs := hints.Parse(resp.Header)
 	typ := webpage.TypeFromURL(u)
 	if typ.NeedsProcessing() {
 		res := &webpage.Resource{URL: u, Type: typ, Body: string(resp.Body)}
 		for _, d := range webpage.ExtractRefs(res) {
-			prio := hints.Low
-			switch webpage.TypeFromURL(d.URL) {
-			case webpage.CSS:
-				prio = hints.High
-			case webpage.JS:
-				if d.Async {
-					prio = hints.Semi
-				} else {
-					prio = hints.High
-				}
-			}
-			jobs = append(jobs, fetchJob{u: d.URL, prio: prio})
+			jobs = append(jobs, hints.Hint{URL: d.URL, Priority: d.Priority()})
 		}
 	}
 	return jobs
@@ -1115,28 +1068,24 @@ func (c *Client) dialOrigin(origin, host string) (OriginConn, error) {
 }
 
 func (c *Client) dialRaw(origin, host string) (OriginConn, error) {
+	var oc OriginConn
+	var err error
 	if c.DialOrigin != nil {
-		oc, err := c.DialOrigin(origin)
-		if err != nil {
-			return nil, err
+		oc, err = c.DialOrigin(origin)
+	} else {
+		var nc net.Conn
+		if nc, err = c.Dial(origin); err == nil {
+			oc, err = h2.NewClientConn(nc)
 		}
-		if cc, ok := oc.(*h2.ClientConn); ok {
-			cc.OnPush = func(resp *h2.Response) { c.onPush(host, resp) }
-			cc.Instrument(c.Trace, "conn:"+origin, c.Metrics)
-		}
-		return oc, nil
 	}
-	nc, err := c.Dial(origin)
 	if err != nil {
 		return nil, err
 	}
-	cc, err := h2.NewClientConn(nc)
-	if err != nil {
-		return nil, err
+	if cc, ok := oc.(*h2.ClientConn); ok {
+		cc.OnPush = func(resp *h2.Response) { c.onPush(host, resp) }
+		cc.Instrument(c.Trace, "conn:"+origin, c.Metrics)
 	}
-	cc.OnPush = func(resp *h2.Response) { c.onPush(host, resp) }
-	cc.Instrument(c.Trace, "conn:"+origin, c.Metrics)
-	return cc, nil
+	return oc, nil
 }
 
 // noteSuccess clears the origin's breaker count.

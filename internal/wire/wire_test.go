@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"vroom/internal/h1"
+	"vroom/internal/h2"
+	"vroom/internal/hints"
 	"vroom/internal/netem"
 	"vroom/internal/replay"
 	"vroom/internal/urlutil"
@@ -187,5 +189,64 @@ func TestHTTP1WireLoad(t *testing.T) {
 		if f.Pushed {
 			t.Errorf("HTTP/1.1 load reported a push: %s", f.URL)
 		}
+	}
+}
+
+// TestClientUpgradesQueuedPriority is the wire counterpart of the
+// simulator's queued-priority upgrade: a URL first hinted as unimportant and
+// then referenced by the page as a stylesheet must leave the Low queue and go
+// out at once, not wait behind the slow synchronous script it sits next to.
+func TestClientUpgradesQueuedPriority(t *testing.T) {
+	const host = "upgrade.test"
+	css := urlutil.URL{Scheme: "https", Host: host, Path: "/a.css"}
+	const slow = 200 * time.Millisecond
+	srv := &h2.Server{Handler: h2.HandlerFunc(func(w *h2.ResponseWriter, r *h2.Request) {
+		switch r.Path {
+		case "/":
+			for k, v := range hints.Format([]hints.Hint{{URL: css, Priority: hints.Low}}) {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(200)
+			w.Write([]byte(`<html><head><link rel="stylesheet" href="/a.css">` +
+				`<script src="/slow.js"></script></head><body></body></html>`))
+		case "/slow.js":
+			time.Sleep(slow)
+			w.WriteHeader(200)
+			w.Write([]byte("var x = 1;"))
+		default:
+			w.WriteHeader(200)
+			w.Write([]byte("body{}"))
+		}
+	})}
+	link := netem.Listen(netem.LinkConfig{Delay: time.Millisecond, DownlinkBytesPerSec: 50e6, UplinkBytesPerSec: 50e6})
+	go srv.Serve(link)
+	defer func() { srv.Close(); link.Close() }()
+
+	c := &Client{Dial: func(string) (net.Conn, error) { return link.Dial() }, Staged: true}
+	rep, err := c.LoadPage(urlutil.URL{Scheme: "https", Host: host, Path: "/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]FetchRecord{}
+	for _, f := range rep.Fetches {
+		if f.Failed() {
+			t.Fatalf("%s failed: %s", f.URL, f.Err)
+		}
+		got[f.URL] = f
+	}
+	a, ok := got[css.String()]
+	if !ok {
+		t.Fatalf("a.css never fetched: %+v", rep.Fetches)
+	}
+	js, ok := got["https://"+host+"/slow.js"]
+	if !ok {
+		t.Fatalf("slow.js never fetched: %+v", rep.Fetches)
+	}
+	if a.Priority != hints.High {
+		t.Errorf("a.css fetched at %v, want %v", a.Priority, hints.High)
+	}
+	if !a.Start.Before(js.Done) {
+		t.Errorf("a.css started %v after slow.js finished: still held behind the Low gate",
+			a.Start.Sub(js.Done))
 	}
 }
