@@ -129,11 +129,7 @@ func figureArtifact(res *experiments.Result, elapsed time.Duration, workers int,
 		ElapsedMs: elapsed.Seconds() * 1000, Notes: res.Notes,
 	}
 	for _, row := range res.Series {
-		fig.Series = append(fig.Series, benchfmt.Series{
-			Label: row.Label, N: row.Dist.N(), Mean: row.Dist.Mean(),
-			P25: row.Dist.Percentile(25), P50: row.Dist.Median(),
-			P75: row.Dist.Percentile(75), P95: row.Dist.Percentile(95),
-		})
+		fig.Series = append(fig.Series, benchfmt.SeriesOf(row.Label, row.Dist))
 	}
 	ps := experiments.ReadPoolStats()
 	fig.Pool = &benchfmt.PoolStats{

@@ -13,8 +13,8 @@ import (
 	"os"
 	"time"
 
-	"vroom/internal/metrics"
 	"vroom/internal/replay"
+	"vroom/internal/telemetry"
 	"vroom/internal/webpage"
 )
 
@@ -52,10 +52,10 @@ func main() {
 	}
 
 	if *stats {
-		counts := metrics.NewDist()
-		bytesTotal := metrics.NewDist()
-		procFrac := metrics.NewDist()
-		domains := metrics.NewDist()
+		counts := telemetry.NewDist()
+		bytesTotal := telemetry.NewDist()
+		procFrac := telemetry.NewDist()
+		domains := telemetry.NewDist()
 		for _, s := range corpus.Sites {
 			sn := s.Snapshot(at, profile, 1)
 			counts.Add(float64(sn.Len()))

@@ -244,16 +244,27 @@ func printSummary(res *loadgen.Result) {
 		}
 		fmt.Printf("degradation: %s\n", strings.Join(parts, " "))
 	}
+	for _, s := range classSeries(res) {
+		fmt.Printf("  %-20s n=%-4d p50=%7.1fms p95=%7.1fms\n", s.Label, s.N, s.P50, s.P95)
+	}
+}
+
+// classSeries distills the per-class load times (ms), sorted by class.
+func classSeries(res *loadgen.Result) []benchfmt.Series {
 	classes := make([]string, 0, len(res.ByClass))
 	for cl := range res.ByClass {
 		classes = append(classes, cl)
 	}
 	sort.Strings(classes)
+	var out []benchfmt.Series
 	for _, cl := range classes {
-		ms := res.ByClass[cl]
-		fmt.Printf("  %-20s n=%-4d p50=%7.1fms p95=%7.1fms\n",
-			cl, len(ms), percentile(ms, 50), percentile(ms, 95))
+		d := telemetry.NewDist()
+		for _, ms := range res.ByClass[cl] {
+			d.Add(ms)
+		}
+		out = append(out, benchfmt.SeriesOf(cl, d))
 	}
+	return out
 }
 
 // exportTrace merges the storm's client recording with the server's /trace
@@ -395,23 +406,7 @@ func writeArtifact(path string, res *loadgen.Result, srv *benchfmt.ServerStats,
 		},
 	}
 	fig.Direction = benchfmt.DirectionFor(fig.Title)
-	classes := make([]string, 0, len(res.ByClass))
-	for cl := range res.ByClass {
-		classes = append(classes, cl)
-	}
-	sort.Strings(classes)
-	for _, cl := range classes {
-		ms := res.ByClass[cl]
-		fig.Series = append(fig.Series, benchfmt.Series{
-			Label: cl,
-			N:     len(ms),
-			Mean:  mean(ms),
-			P25:   percentile(ms, 25),
-			P50:   percentile(ms, 50),
-			P75:   percentile(ms, 75),
-			P95:   percentile(ms, 95),
-		})
-	}
+	fig.Series = classSeries(res)
 	return benchfmt.Save(path, &benchfmt.File{
 		Scale:     "load",
 		Seed:      seed,
@@ -430,25 +425,4 @@ func splitTokens(s string) []string {
 		}
 	}
 	return out
-}
-
-func percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	idx := int(p / 100 * float64(len(s)-1))
-	return s[idx]
-}
-
-func mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
 }

@@ -323,13 +323,16 @@ func summarizeTrace(data []byte) (*TraceStats, error) {
 	}
 	stacks := make(map[int][]open)
 	async := make(map[string]open)
-	var durs []float64
-	byOrigin := make(map[string][]float64)
+	durs := telemetry.NewDist()
+	byOrigin := make(map[string]*telemetry.Dist)
 	record := func(o open, end int64) {
 		ms := float64(end-o.ts) / 1000
-		durs = append(durs, ms)
+		durs.Add(ms)
 		if o.origin != "" {
-			byOrigin[o.origin] = append(byOrigin[o.origin], ms)
+			if byOrigin[o.origin] == nil {
+				byOrigin[o.origin] = telemetry.NewDist()
+			}
+			byOrigin[o.origin].Add(ms)
 		}
 	}
 	originOf := func(ev perfettoEvent) string {
@@ -380,26 +383,17 @@ func summarizeTrace(data []byte) (*TraceStats, error) {
 			ts.CrossFlows++
 		}
 	}
-	ts.Fetches = len(durs)
-	ts.FetchP50Ms = percentileOf(durs, 50)
-	ts.FetchP95Ms = percentileOf(durs, 95)
+	ts.Fetches = durs.N()
+	if ts.Fetches > 0 {
+		ts.FetchP50Ms, ts.FetchP95Ms = durs.Median(), durs.Percentile(95)
+	}
 	if len(byOrigin) > 0 {
 		ts.ByOrigin = make(map[string]TraceFetches, len(byOrigin))
 		for o, d := range byOrigin {
-			ts.ByOrigin[o] = TraceFetches{Fetches: len(d), P50Ms: percentileOf(d, 50)}
+			ts.ByOrigin[o] = TraceFetches{Fetches: d.N(), P50Ms: d.Median()}
 		}
 	}
 	return ts, nil
-}
-
-func percentileOf(v []float64, p float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	idx := int(p / 100 * float64(len(s)-1))
-	return s[idx]
 }
 
 // Render prints the report as a terminal table: an aggregate header, then

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"vroom/internal/telemetry"
 )
 
 // Schema identifies the artifact layout. Bump on incompatible change.
@@ -148,6 +150,18 @@ type Series struct {
 	P50   float64 `json:"p50"`
 	P75   float64 `json:"p75"`
 	P95   float64 `json:"p95"`
+}
+
+// SeriesOf distills a labelled distribution into a Series. An empty
+// distribution reports zeros, never NaN, which encoding/json rejects.
+func SeriesOf(label string, d *telemetry.Dist) Series {
+	if d.N() == 0 {
+		return Series{Label: label}
+	}
+	return Series{
+		Label: label, N: d.N(), Mean: d.Mean(),
+		P25: d.Percentile(25), P50: d.Median(), P75: d.Percentile(75), P95: d.Percentile(95),
+	}
 }
 
 // PoolStats reports worker-pool usage while the figure ran.

@@ -15,8 +15,8 @@ import (
 
 	"vroom/internal/browser"
 	"vroom/internal/faults"
-	"vroom/internal/metrics"
 	"vroom/internal/runner"
+	"vroom/internal/telemetry"
 	"vroom/internal/webpage"
 )
 
@@ -105,15 +105,11 @@ type Result struct {
 	ID    string
 	Title string
 	// Series holds the figure's labelled distributions in plot order.
-	Series []metrics.TableRow
+	Series []telemetry.TableRow
 	// Text is the terminal rendering.
 	Text string
 	// Notes carries scalar findings quoted in the paper's prose.
 	Notes []string
-	// Hists holds the experiment's per-resource metric distributions
-	// (time-to-first-byte, scheduler hold, push lead), when the figure
-	// records them.
-	Hists *metrics.Registry
 }
 
 // observeLoadHists records per-resource metric distributions from a corpus
@@ -125,26 +121,31 @@ type Result struct {
 //   - push-lead: PUSH_PROMISE arrival to the moment parsing actually
 //     required the resource — how far ahead of need the push ran (pushes
 //     that were promised after being required record zero lead).
-func observeLoadHists(reg *metrics.Registry, prefix string, rs []browser.Result) {
+func observeLoadHists(reg *telemetry.Registry, prefix string, rs []browser.Result) {
+	ttfb := reg.Histogram(prefix + "/ttfb")
+	hold := reg.Histogram(prefix + "/sched-hold")
+	pushLead := reg.Histogram(prefix + "/push-lead")
 	for _, r := range rs {
 		for _, rt := range r.Resources {
 			// >= so that zero-TTFB samples (pushed and cache-satisfied
 			// resources) are kept; dropping them biased the histogram up.
 			if rt.FirstByteAt >= rt.RequestedAt && rt.FirstByteAt > 0 {
-				reg.ObserveDuration(prefix+"/ttfb", rt.FirstByteAt-rt.RequestedAt)
+				ttfb.ObserveDuration(rt.FirstByteAt - rt.RequestedAt)
 			}
 			if rt.RequestedAt >= rt.DiscoveredAt && rt.ArrivedAt > 0 {
-				reg.ObserveDuration(prefix+"/sched-hold", rt.RequestedAt-rt.DiscoveredAt)
+				hold.ObserveDuration(rt.RequestedAt - rt.DiscoveredAt)
 			}
 			if rt.Pushed && rt.PushPromisedAt > 0 && rt.RequiredAt > 0 {
-				lead := rt.RequiredAt - rt.PushPromisedAt
-				if lead < 0 {
-					lead = 0
-				}
-				reg.ObserveDuration(prefix+"/push-lead", lead)
+				pushLead.ObserveDuration(max(rt.RequiredAt-rt.PushPromisedAt, 0))
 			}
 		}
 	}
+}
+
+// histText renders a figure's per-resource distributions (milliseconds)
+// under an indented title, one histogram a line.
+func histText(title string, reg *telemetry.Registry) string {
+	return fmt.Sprintf("  %s (ms)\n  %s\n", title, reg.Text("\n  "))
 }
 
 // medianLoad runs a policy on a site LoadsPerSite times back-to-back and
@@ -254,8 +255,8 @@ func runCorpus(sites []*webpage.Site, pol runner.Policy, o Options) ([]browser.R
 }
 
 // pltDist extracts the PLT distribution in seconds.
-func pltDist(rs []browser.Result) *metrics.Dist {
-	d := metrics.NewDist()
+func pltDist(rs []browser.Result) *telemetry.Dist {
+	d := telemetry.NewDist()
 	for _, r := range rs {
 		d.AddDuration(r.PLT)
 	}
@@ -264,7 +265,7 @@ func pltDist(rs []browser.Result) *metrics.Dist {
 
 // lowerBound computes the paper's per-site bound: the max of the
 // CPU-bottleneck and network-bottleneck loads (§2).
-func lowerBound(sites []*webpage.Site, o Options) (plt, aft, si *metrics.Dist, err error) {
+func lowerBound(sites []*webpage.Site, o Options) (plt, aft, si *telemetry.Dist, err error) {
 	type bound struct{ cpu, net browser.Result }
 	bounds := make([]bound, len(sites))
 	err = forEachSite(sites, o.Workers, func(i int, s *webpage.Site) error {
@@ -282,7 +283,7 @@ func lowerBound(sites []*webpage.Site, o Options) (plt, aft, si *metrics.Dist, e
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	plt, aft, si = metrics.NewDist(), metrics.NewDist(), metrics.NewDist()
+	plt, aft, si = telemetry.NewDist(), telemetry.NewDist(), telemetry.NewDist()
 	for _, b := range bounds {
 		plt.AddDuration(maxDur(b.cpu.PLT, b.net.PLT))
 		aft.AddDuration(maxDur(b.cpu.AFT, b.net.AFT))
@@ -304,9 +305,9 @@ func maxDur(a, b time.Duration) time.Duration {
 
 func renderResult(r *Result) string {
 	var b strings.Builder
-	b.WriteString(metrics.Table(fmt.Sprintf("%s — %s", r.ID, r.Title), r.Series))
+	b.WriteString(telemetry.Table(fmt.Sprintf("%s — %s", r.ID, r.Title), r.Series))
 	if len(r.Series) > 1 {
-		b.WriteString(metrics.ASCIICDF("  deciles", "p10..p90", r.Series))
+		b.WriteString(telemetry.ASCIICDF("  deciles", "p10..p90", r.Series))
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "  note: %s\n", n)

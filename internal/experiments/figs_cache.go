@@ -6,8 +6,8 @@ import (
 
 	"vroom/internal/browser"
 	"vroom/internal/hints"
-	"vroom/internal/metrics"
 	"vroom/internal/runner"
+	"vroom/internal/telemetry"
 	"vroom/internal/webpage"
 )
 
@@ -26,7 +26,7 @@ func Fig20(o Options) (*Result, error) {
 		{"1 day later", 24 * time.Hour},
 		{"1 week later", 7 * 24 * time.Hour},
 	}
-	var rows []metrics.TableRow
+	var rows []telemetry.TableRow
 	var notes []string
 	for _, gap := range gaps {
 		gap := gap
@@ -59,14 +59,14 @@ func Fig20(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		vroomD, h2D := metrics.NewDist(), metrics.NewDist()
+		vroomD, h2D := telemetry.NewDist(), telemetry.NewDist()
 		for _, w := range warms {
 			vroomD.AddDuration(w.vroom.PLT)
 			h2D.AddDuration(w.h2.PLT)
 		}
 		rows = append(rows,
-			metrics.TableRow{Label: "vroom, " + gap.label, Dist: vroomD},
-			metrics.TableRow{Label: "h2 baseline, " + gap.label, Dist: h2D},
+			telemetry.TableRow{Label: "vroom, " + gap.label, Dist: vroomD},
+			telemetry.TableRow{Label: "h2 baseline, " + gap.label, Dist: h2D},
 		)
 		notes = append(notes, fmt.Sprintf("%s: vroom %.1fs vs h2 %.1fs (Δ %.1fs)",
 			gap.label, vroomD.Median(), h2D.Median(), h2D.Median()-vroomD.Median()))
@@ -124,7 +124,7 @@ func Fig11(o Options) (*Result, error) {
 			break
 		}
 	}
-	asapDelta, vroomDelta := metrics.NewDist(), metrics.NewDist()
+	asapDelta, vroomDelta := telemetry.NewDist(), telemetry.NewDist()
 	var text string
 	text = fmt.Sprintf("fig11 — receipt-time change vs HTTP/2 baseline, first %d processed resources on %s\n", len(rowsData), site.Name)
 	text += fmt.Sprintf("  %-3s %9s %12s %12s\n", "id", "base(s)", "pushASAP Δs", "vroom Δs")
@@ -138,7 +138,7 @@ func Fig11(o Options) (*Result, error) {
 	r := &Result{
 		ID:    "fig11",
 		Title: "Receipt-time change of first 10 processed resources",
-		Series: []metrics.TableRow{
+		Series: []telemetry.TableRow{
 			{Label: "push-all-fetch-asap delta", Dist: asapDelta},
 			{Label: "vroom delta", Dist: vroomDelta},
 		},

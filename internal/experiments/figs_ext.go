@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"vroom/internal/core"
-	"vroom/internal/metrics"
 	"vroom/internal/netsim"
 	"vroom/internal/runner"
+	"vroom/internal/telemetry"
 	"vroom/internal/webpage"
 )
 
@@ -20,10 +20,10 @@ func Ext01(o Options) (*Result, error) {
 	o = o.fill()
 	sites := o.newsAndSports()
 	var (
-		covSampled = metrics.NewDist()
-		covFull    = metrics.NewDist()
-		covOnline  = metrics.NewDist()
-		loadsSaved = metrics.NewDist()
+		covSampled = telemetry.NewDist()
+		covFull    = telemetry.NewDist()
+		covOnline  = telemetry.NewDist()
+		loadsSaved = telemetry.NewDist()
 	)
 	profile := webpage.Profile{Device: o.Profile.Device, UserID: o.Profile.UserID}
 	for _, s := range sites {
@@ -85,7 +85,7 @@ func Ext01(o Options) (*Result, error) {
 	r := &Result{
 		ID:    "ext01",
 		Title: "§7 extension: template hints for uncrawled pages (stable-dep coverage)",
-		Series: []metrics.TableRow{
+		Series: []telemetry.TableRow{
 			{Label: "sampled (2 pages/site)", Dist: covSampled},
 			{Label: "full crawl (every page)", Dist: covFull},
 			{Label: "online-only", Dist: covOnline},
@@ -114,7 +114,7 @@ func Ext02(o Options) (*Result, error) {
 		{"http/2 baseline", runner.H2},
 		{"http/1.1", runner.HTTP1},
 	}
-	var rows []metrics.TableRow
+	var rows []telemetry.TableRow
 	for _, pc := range pols {
 		pc := pc
 		plts := make([]time.Duration, len(sites))
@@ -136,11 +136,11 @@ func Ext02(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := metrics.NewDist()
+		d := telemetry.NewDist()
 		for _, plt := range plts {
 			d.AddDuration(plt)
 		}
-		rows = append(rows, metrics.TableRow{Label: pc.label, Dist: d})
+		rows = append(rows, telemetry.TableRow{Label: pc.label, Dist: d})
 	}
 	r := &Result{ID: "ext02", Title: "Variable-bandwidth LTE trace: PLT (s)", Series: rows}
 	r.Notes = append(r.Notes, fmt.Sprintf(

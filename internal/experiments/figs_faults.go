@@ -6,7 +6,6 @@ import (
 
 	"vroom/internal/browser"
 	"vroom/internal/faults"
-	"vroom/internal/metrics"
 	"vroom/internal/runner"
 	"vroom/internal/telemetry"
 	"vroom/internal/webpage"
@@ -24,7 +23,7 @@ func faultSeed(base int64, site string, nonce uint64) int64 {
 // chaosLoad runs a policy on a site LoadsPerSite times, each load under a
 // fresh fault plan for the regime, and returns the median-PLT load. Fault
 // and degradation counters aggregate into agg.
-func chaosLoad(s *webpage.Site, pol runner.Policy, o Options, reg faults.Regime, agg *telemetry.Counters) (browser.Result, error) {
+func chaosLoad(s *webpage.Site, pol runner.Policy, o Options, reg faults.Regime, agg *telemetry.Registry) (browser.Result, error) {
 	var results []browser.Result
 	for i := 0; i < o.LoadsPerSite; i++ {
 		var plan *faults.Plan
@@ -38,13 +37,13 @@ func chaosLoad(s *webpage.Site, pol runner.Policy, o Options, reg faults.Regime,
 		if err != nil {
 			return browser.Result{}, err
 		}
-		agg.Add("retries", int64(r.Retries))
-		agg.Add("timeouts", int64(r.Timeouts))
-		agg.Add("failed-fetches", int64(r.FailedFetches))
-		agg.Add("hints-failed", int64(r.HintsFailed))
-		agg.Add("wasted-push-bytes", r.WastedPushBytes)
+		agg.Counter("retries").Add(int64(r.Retries))
+		agg.Counter("timeouts").Add(int64(r.Timeouts))
+		agg.Counter("failed-fetches").Add(int64(r.FailedFetches))
+		agg.Counter("hints-failed").Add(int64(r.HintsFailed))
+		agg.Counter("wasted-push-bytes").Add(r.WastedPushBytes)
 		for _, st := range plan.Stats() {
-			agg.Add("injected/"+st.Name, st.Count)
+			agg.Counter("injected/" + st.Name).Add(st.Count)
 		}
 		results = append(results, r)
 	}
@@ -67,14 +66,16 @@ func Ext03(o Options) (*Result, error) {
 		pol runner.Policy
 		reg faults.Regime
 	}
-	dists := make(map[cell]*metrics.Dist)
-	counters := make(map[faults.Regime]*telemetry.Counters)
-	hists := metrics.NewRegistry()
-	var rows []metrics.TableRow
+	dists := make(map[cell]*telemetry.Dist)
+	counters := make(map[faults.Regime]*telemetry.Registry)
+	hists := telemetry.NewRegistry()
+	var rows []telemetry.TableRow
 	for _, reg := range regimes {
-		counters[reg] = telemetry.NewCounters()
+		counters[reg] = telemetry.NewRegistry()
+		// Resolve the headline counters up front so they read "=0" in the
+		// report rather than vanish when nothing fired.
 		for _, name := range []string{"retries", "timeouts", "failed-fetches", "hints-failed", "wasted-push-bytes"} {
-			counters[reg].Touch(name)
+			counters[reg].Counter(name)
 		}
 		for _, pol := range runner.AllPolicies() {
 			pol := pol
@@ -93,7 +94,7 @@ func Ext03(o Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			d := metrics.NewDist()
+			d := telemetry.NewDist()
 			var vroomLoads []browser.Result
 			for _, res := range loads {
 				d.AddDuration(res.PLT)
@@ -107,7 +108,7 @@ func Ext03(o Options) (*Result, error) {
 				observeLoadHists(hists, fmt.Sprintf("%s/vroom", reg), vroomLoads)
 			}
 			dists[cell{pol, reg}] = d
-			rows = append(rows, metrics.TableRow{Label: fmt.Sprintf("%s/%s", reg, pol), Dist: d})
+			rows = append(rows, telemetry.TableRow{Label: fmt.Sprintf("%s/%s", reg, pol), Dist: d})
 		}
 	}
 
@@ -120,7 +121,7 @@ func Ext03(o Options) (*Result, error) {
 		if reg == faults.RegimeNone {
 			continue
 		}
-		r.Notes = append(r.Notes, fmt.Sprintf("%s counters: %s", reg, counters[reg]))
+		r.Notes = append(r.Notes, fmt.Sprintf("%s counters: %s", reg, counters[reg].Text(" ")))
 	}
 	vroomSevere := dists[cell{runner.Vroom, faults.RegimeSevere}].Median()
 	h2Severe := dists[cell{runner.H2, faults.RegimeSevere}].Median()
@@ -128,7 +129,6 @@ func Ext03(o Options) (*Result, error) {
 	r.Notes = append(r.Notes, fmt.Sprintf(
 		"severe-regime medians: vroom %.2fs vs no-hints h2 %.2fs (%+.1f%%); vroom clean-world %.2fs — bad hints degrade to vanilla discovery, they do not break the load",
 		vroomSevere, h2Severe, (vroomSevere/h2Severe-1)*100, vroomNone))
-	r.Hists = hists
-	r.Text = renderResult(r) + hists.Render("  vroom per-resource distributions by regime")
+	r.Text = renderResult(r) + histText("vroom per-resource distributions by regime", hists)
 	return r, nil
 }

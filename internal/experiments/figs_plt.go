@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"vroom/internal/browser"
-	"vroom/internal/metrics"
 	"vroom/internal/runner"
+	"vroom/internal/telemetry"
 	"vroom/internal/webpage"
 )
 
@@ -24,7 +24,7 @@ func Fig01(o Options) (*Result, error) {
 	r := &Result{
 		ID:    "fig01",
 		Title: "Status-quo PLT CDFs (s)",
-		Series: []metrics.TableRow{
+		Series: []telemetry.TableRow{
 			{Label: "top-100 overall", Dist: pltDist(top)},
 			{Label: "top-50 news + top-50 sports", Dist: pltDist(ns)},
 		},
@@ -59,7 +59,7 @@ func Fig02(o Options) (*Result, error) {
 	r := &Result{
 		ID:    "fig02",
 		Title: "Lower-bound PLT CDFs (s)",
-		Series: []metrics.TableRow{
+		Series: []telemetry.TableRow{
 			{Label: "network bottleneck", Dist: pltDist(netOnly)},
 			{Label: "cpu bottleneck", Dist: pltDist(cpuOnly)},
 			{Label: "max(cpu, network)", Dist: bound},
@@ -77,7 +77,7 @@ func Fig02(o Options) (*Result, error) {
 func Fig03(o Options) (*Result, error) {
 	o = o.fill()
 	sites := o.newsAndSports()
-	rows := []metrics.TableRow{}
+	rows := []telemetry.TableRow{}
 	for _, pc := range []struct {
 		label string
 		pol   runner.Policy
@@ -90,7 +90,7 @@ func Fig03(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, metrics.TableRow{Label: pc.label, Dist: pltDist(rs)})
+		rows = append(rows, telemetry.TableRow{Label: pc.label, Dist: pltDist(rs)})
 	}
 	r := &Result{ID: "fig03", Title: "HTTP/2 adoption PLT CDFs (s)", Series: rows}
 	r.Notes = append(r.Notes, fmt.Sprintf(
@@ -108,14 +108,14 @@ func Fig04(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := metrics.NewDist()
+	d := telemetry.NewDist()
 	for _, r := range rs {
 		d.Add(r.IdleFrac)
 	}
 	r := &Result{
 		ID:     "fig04",
 		Title:  "Fraction of critical path waiting on network (HTTP/2)",
-		Series: []metrics.TableRow{{Label: "network wait fraction", Dist: d}},
+		Series: []telemetry.TableRow{{Label: "network wait fraction", Dist: d}},
 	}
 	r.Notes = append(r.Notes, fmt.Sprintf("paper: >30%% on the median page; measured %.0f%%", d.Median()*100))
 	r.Text = renderResult(r)
@@ -135,7 +135,7 @@ func Fig13(o Options) (*Result, error) {
 	type series struct {
 		label        string
 		pol          runner.Policy
-		plt, aft, si *metrics.Dist
+		plt, aft, si *telemetry.Dist
 	}
 	pols := []*series{
 		{label: "vroom", pol: runner.Vroom},
@@ -143,13 +143,13 @@ func Fig13(o Options) (*Result, error) {
 		{label: "http/2 baseline", pol: runner.H2},
 		{label: "http/1.1", pol: runner.HTTP1},
 	}
-	hists := metrics.NewRegistry()
+	hists := telemetry.NewRegistry()
 	for _, s := range pols {
 		rs, err := runCorpus(sites, s.pol, o)
 		if err != nil {
 			return nil, err
 		}
-		s.plt, s.aft, s.si = metrics.NewDist(), metrics.NewDist(), metrics.NewDist()
+		s.plt, s.aft, s.si = telemetry.NewDist(), telemetry.NewDist(), telemetry.NewDist()
 		for _, r := range rs {
 			s.plt.AddDuration(r.PLT)
 			s.aft.AddDuration(r.AFT)
@@ -157,34 +157,33 @@ func Fig13(o Options) (*Result, error) {
 		}
 		observeLoadHists(hists, string(s.pol), rs)
 	}
-	rows := []metrics.TableRow{{Label: "lower bound PLT", Dist: boundPLT}}
+	rows := []telemetry.TableRow{{Label: "lower bound PLT", Dist: boundPLT}}
 	for _, s := range pols {
-		rows = append(rows, metrics.TableRow{Label: s.label + " PLT", Dist: s.plt})
+		rows = append(rows, telemetry.TableRow{Label: s.label + " PLT", Dist: s.plt})
 	}
-	rows = append(rows, metrics.TableRow{Label: "lower bound AFT", Dist: boundAFT})
+	rows = append(rows, telemetry.TableRow{Label: "lower bound AFT", Dist: boundAFT})
 	for _, s := range pols {
-		rows = append(rows, metrics.TableRow{Label: s.label + " AFT", Dist: s.aft})
+		rows = append(rows, telemetry.TableRow{Label: s.label + " AFT", Dist: s.aft})
 	}
-	rows = append(rows, metrics.TableRow{Label: "lower bound SpeedIndex/1000", Dist: scaleDist(boundSI, 1e-3)})
+	rows = append(rows, telemetry.TableRow{Label: "lower bound SpeedIndex/1000", Dist: scaleDist(boundSI, 1e-3)})
 	for _, s := range pols {
-		rows = append(rows, metrics.TableRow{Label: s.label + " SpeedIndex/1000", Dist: scaleDist(s.si, 1e-3)})
+		rows = append(rows, telemetry.TableRow{Label: s.label + " SpeedIndex/1000", Dist: scaleDist(s.si, 1e-3)})
 	}
 	r := &Result{ID: "fig13", Title: "Main result: PLT / AFT / SpeedIndex", Series: rows}
-	_, pVal := metrics.MannWhitneyU(pols[0].plt, pols[2].plt)
-	delta := metrics.CliffsDelta(pols[0].plt, pols[2].plt)
+	_, pVal := telemetry.MannWhitneyU(pols[0].plt, pols[2].plt)
+	delta := telemetry.CliffsDelta(pols[0].plt, pols[2].plt)
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("paper: 10.5s http/1.1 → 7.3s h2 → 5.1s vroom ≈ 5.0s bound; measured %.1f → %.1f → %.1f ≈ %.1f",
 			pols[3].plt.Median(), pols[2].plt.Median(), pols[0].plt.Median(), boundPLT.Median()),
 		fmt.Sprintf("vroom vs h2 PLT: Mann-Whitney p=%.2g, Cliff's delta=%.2f", pVal, delta),
 		fmt.Sprintf("paper: first-party-only adoption 5.6s vs 5.1s full; measured %.1f vs %.1f",
 			pols[1].plt.Median(), pols[0].plt.Median()))
-	r.Hists = hists
-	r.Text = renderResult(r) + hists.Render("  per-resource distributions")
+	r.Text = renderResult(r) + histText("per-resource distributions", hists)
 	return r, nil
 }
 
-func scaleDist(d *metrics.Dist, k float64) *metrics.Dist {
-	out := metrics.NewDist()
+func scaleDist(d *telemetry.Dist, k float64) *telemetry.Dist {
+	out := telemetry.NewDist()
 	for p := 1.0; p <= 100; p++ {
 		out.Add(d.Percentile(p) * k)
 	}
@@ -206,7 +205,7 @@ func Fig14(o Options) (*Result, error) {
 	r := &Result{
 		ID:    "fig14",
 		Title: "Vroom vs Polaris PLT CDFs (s)",
-		Series: []metrics.TableRow{
+		Series: []telemetry.TableRow{
 			{Label: "vroom", Dist: pltDist(vr)},
 			{Label: "polaris", Dist: pltDist(pl)},
 		},
@@ -240,8 +239,8 @@ func Fig16(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	discAll, discHigh := metrics.NewDist(), metrics.NewDist()
-	fetchAll, fetchHigh := metrics.NewDist(), metrics.NewDist()
+	discAll, discHigh := telemetry.NewDist(), telemetry.NewDist()
+	fetchAll, fetchHigh := telemetry.NewDist(), telemetry.NewDist()
 	for _, p := range pairs {
 		base, vr := p.base, p.vr
 		discAll.Add(improvement(base.DiscoverAll.Seconds(), vr.DiscoverAll.Seconds()))
@@ -252,7 +251,7 @@ func Fig16(o Options) (*Result, error) {
 	r := &Result{
 		ID:    "fig16",
 		Title: "Discovery / fetch-completion improvement over HTTP/2 (fraction)",
-		Series: []metrics.TableRow{
+		Series: []telemetry.TableRow{
 			{Label: "discovery, all", Dist: discAll},
 			{Label: "discovery, high-priority", Dist: discHigh},
 			{Label: "fetch, all", Dist: fetchAll},
@@ -317,13 +316,13 @@ func quartileFigure(o Options, id, title string, pols []labelled, note string) (
 	if err != nil {
 		return nil, err
 	}
-	rows := []metrics.TableRow{{Label: "lower bound", Dist: bound}}
+	rows := []telemetry.TableRow{{Label: "lower bound", Dist: bound}}
 	for _, pc := range pols {
 		rs, err := runCorpus(sites, pc.pol, o)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, metrics.TableRow{Label: pc.label, Dist: pltDist(rs)})
+		rows = append(rows, telemetry.TableRow{Label: pc.label, Dist: pltDist(rs)})
 	}
 	r := &Result{ID: id, Title: title, Series: rows, Notes: []string{note}}
 	r.Text = renderResult(r)

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"vroom/internal/core"
-	"vroom/internal/metrics"
+	"vroom/internal/telemetry"
 	"vroom/internal/webpage"
 )
 
@@ -14,7 +14,7 @@ import (
 func Fig07(o Options) (*Result, error) {
 	o = o.fill()
 	sites := o.top100()
-	hour, day, week := metrics.NewDist(), metrics.NewDist(), metrics.NewDist()
+	hour, day, week := telemetry.NewDist(), telemetry.NewDist(), telemetry.NewDist()
 	for _, s := range sites {
 		now := s.Snapshot(o.Time, o.Profile, 1).URLSet()
 		for i, gap := range []time.Duration{time.Hour, 24 * time.Hour, 7 * 24 * time.Hour} {
@@ -39,7 +39,7 @@ func Fig07(o Options) (*Result, error) {
 	r := &Result{
 		ID:    "fig07",
 		Title: "Fraction of resources persisting over time",
-		Series: []metrics.TableRow{
+		Series: []telemetry.TableRow{
 			{Label: "one hour", Dist: hour},
 			{Label: "one day", Dist: day},
 			{Label: "one week", Dist: week},
@@ -57,7 +57,7 @@ func Fig07(o Options) (*Result, error) {
 func Fig09(o Options) (*Result, error) {
 	o = o.fill()
 	sites := o.top100()
-	phone, tablet := metrics.NewDist(), metrics.NewDist()
+	phone, tablet := telemetry.NewDist(), telemetry.NewDist()
 	for _, s := range sites {
 		res := core.NewResolver(core.DefaultResolverConfig())
 		for _, d := range []webpage.DeviceClass{webpage.PhoneSmall, webpage.PhoneLarge, webpage.Tablet} {
@@ -70,7 +70,7 @@ func Fig09(o Options) (*Result, error) {
 	r := &Result{
 		ID:    "fig09",
 		Title: "Stable-set IoU vs a Nexus-6-class phone",
-		Series: []metrics.TableRow{
+		Series: []telemetry.TableRow{
 			{Label: "oneplus-3-class phone", Dist: phone},
 			{Label: "nexus-10-class tablet", Dist: tablet},
 		},
@@ -107,11 +107,11 @@ func iouSets(a, b map[string]bool) float64 {
 type AccuracyResult struct {
 	// PredictableCount/PredictableBytes: the predictable subset's share of
 	// the hint-eligible resources (21a).
-	PredictableCount, PredictableBytes *metrics.Dist
+	PredictableCount, PredictableBytes *telemetry.Dist
 	// FalseNegatives/FalsePositives per strategy (21b, 21c), as fractions
 	// of the predictable subset.
-	FalseNegatives map[string]*metrics.Dist
-	FalsePositives map[string]*metrics.Dist
+	FalseNegatives map[string]*telemetry.Dist
+	FalsePositives map[string]*telemetry.Dist
 }
 
 // Fig21 — accuracy of server-side dependency resolution: Vroom's
@@ -123,15 +123,15 @@ func Fig21(o Options) (*Result, error) {
 	sites := o.newsAndSports()
 	users := []int64{101, 202, 303, 404} // four seeded cookie profiles
 	acc := &AccuracyResult{
-		PredictableCount: metrics.NewDist(),
-		PredictableBytes: metrics.NewDist(),
-		FalseNegatives:   map[string]*metrics.Dist{},
-		FalsePositives:   map[string]*metrics.Dist{},
+		PredictableCount: telemetry.NewDist(),
+		PredictableBytes: telemetry.NewDist(),
+		FalseNegatives:   map[string]*telemetry.Dist{},
+		FalsePositives:   map[string]*telemetry.Dist{},
 	}
 	strategies := []string{"vroom", "offline only", "online only"}
 	for _, st := range strategies {
-		acc.FalseNegatives[st] = metrics.NewDist()
-		acc.FalsePositives[st] = metrics.NewDist()
+		acc.FalseNegatives[st] = telemetry.NewDist()
+		acc.FalsePositives[st] = telemetry.NewDist()
 	}
 	for _, s := range sites {
 		// Server-side resolvers are shared across users (they crawl
@@ -195,15 +195,15 @@ func Fig21(o Options) (*Result, error) {
 			}
 		}
 	}
-	rows := []metrics.TableRow{
+	rows := []telemetry.TableRow{
 		{Label: "predictable / eligible (count)", Dist: acc.PredictableCount},
 		{Label: "predictable / eligible (bytes)", Dist: acc.PredictableBytes},
 	}
 	for _, st := range strategies {
-		rows = append(rows, metrics.TableRow{Label: "false negatives, " + st, Dist: acc.FalseNegatives[st]})
+		rows = append(rows, telemetry.TableRow{Label: "false negatives, " + st, Dist: acc.FalseNegatives[st]})
 	}
 	for _, st := range strategies {
-		rows = append(rows, metrics.TableRow{Label: "false positives, " + st, Dist: acc.FalsePositives[st]})
+		rows = append(rows, telemetry.TableRow{Label: "false positives, " + st, Dist: acc.FalsePositives[st]})
 	}
 	r := &Result{ID: "fig21", Title: "Server-side dependency-resolution accuracy", Series: rows}
 	r.Notes = append(r.Notes,

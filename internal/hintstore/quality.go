@@ -2,7 +2,6 @@ package hintstore
 
 import (
 	"sync/atomic"
-	"time"
 
 	"vroom/internal/hintstore/persist"
 	"vroom/internal/telemetry"
@@ -102,20 +101,7 @@ func addPos(c *atomic.Int64, n int64) {
 // precision/recall.
 type QualitySnapshot struct {
 	Origin string
-
-	HintsEmitted int64
-	HintsUsed    int64
-	HintsUnused  int64
-	HintsMissed  int64
-
-	PushedCount     int64
-	PushedBytes     int64
-	WastedPushBytes int64
-
-	PushLeadMsSum   int64
-	PushLeads       int64
-	StaleServeMsSum int64
-	StaleServes     int64
+	persist.QualityState
 }
 
 // Precision is used / (used + unused): of the hints whose windows settled,
@@ -155,27 +141,8 @@ func (s QualitySnapshot) MeanStalenessMs() float64 {
 	return float64(s.StaleServeMsSum) / float64(s.StaleServes)
 }
 
-func (q *Quality) snapshot(origin string) QualitySnapshot {
-	if q == nil {
-		return QualitySnapshot{Origin: origin}
-	}
-	return QualitySnapshot{
-		Origin:          origin,
-		HintsEmitted:    q.HintsEmitted.Load(),
-		HintsUsed:       q.HintsUsed.Load(),
-		HintsUnused:     q.HintsUnused.Load(),
-		HintsMissed:     q.HintsMissed.Load(),
-		PushedCount:     q.PushedCount.Load(),
-		PushedBytes:     q.PushedBytes.Load(),
-		WastedPushBytes: q.WastedPushBytes.Load(),
-		PushLeadMsSum:   q.PushLeadMsSum.Load(),
-		PushLeads:       q.PushLeads.Load(),
-		StaleServeMsSum: q.StaleServeMsSum.Load(),
-		StaleServes:     q.StaleServes.Load(),
-	}
-}
-
-// state renders the ledger's durable form for a snapshot or WAL record.
+// state copies the ledger into its durable form, the one shape both a
+// QualitySnapshot and a snapshot or WAL record carry.
 func (q *Quality) state() persist.QualityState {
 	return persist.QualityState{
 		HintsEmitted:    q.HintsEmitted.Load(),
@@ -290,7 +257,7 @@ func (st *Store) QualityOf(origin string) QualitySnapshot {
 	if sh == nil {
 		return QualitySnapshot{Origin: origin}
 	}
-	return sh.quality.snapshot(origin)
+	return QualitySnapshot{Origin: origin, QualityState: sh.quality.state()}
 }
 
 // QualityAll snapshots every resident tenant's ledger, sorted by origin via
@@ -302,14 +269,8 @@ func (st *Store) QualityAll() []QualitySnapshot {
 	st.mu.RLock()
 	out := make([]QualitySnapshot, 0, len(st.tenants))
 	for origin, sh := range st.tenants {
-		out = append(out, sh.quality.snapshot(origin))
+		out = append(out, QualitySnapshot{Origin: origin, QualityState: sh.quality.state()})
 	}
 	st.mu.RUnlock()
 	return out
-}
-
-// NoteStaleServe records the served-table staleness age for origin —
-// called by the serving path with Result.Age on every hint serve.
-func (st *Store) NoteStaleServe(origin string, age time.Duration) {
-	st.NoteQuality(origin, QualityDelta{StaleMs: float64(age.Milliseconds()), StaleObs: 1})
 }

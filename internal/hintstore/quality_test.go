@@ -32,7 +32,7 @@ func TestQualityLedgerAndMetrics(t *testing.T) {
 	st.NoteQuality(origin, QualityDelta{HintsUnused: 3, WastedPushBytes: 1000})
 	st.NoteQuality(origin, QualityDelta{HintsMissed: 1})
 	st.NoteQuality(origin, QualityDelta{PushLeadMs: 40, PushLeads: 1})
-	st.NoteStaleServe(origin, 1500*time.Millisecond)
+	st.NoteQuality(origin, QualityDelta{StaleMs: 1500, StaleObs: 1})
 
 	q := st.QualityOf(origin)
 	if q.HintsEmitted != 10 || q.HintsUsed != 7 || q.HintsUnused != 3 || q.HintsMissed != 1 {

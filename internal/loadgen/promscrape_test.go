@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -179,5 +180,53 @@ func TestScrapeRoundTrip(t *testing.T) {
 	p99 := sc.HistogramQuantile("vroom_store_hint_lookup_ms", 99)
 	if p99 <= 0 || p99 > 25 {
 		t.Errorf("p99 = %v, want within (0, 25]", p99)
+	}
+}
+
+// TestHistogramQuantileMatchesSource cross-checks the two bucket estimators
+// on seeded samples: a telemetry.Histogram written by WritePrometheus and
+// parsed back here must report, at p50, p90 and p99, a quantile inside the
+// DefaultBuckets interval that holds the histogram's own Quantile. The
+// exposition counts a sample under the first bound at or above its log
+// bucket's upper edge, so when Quantile sits within one log bucket (a factor
+// of 2^(1/8)) below a bound the scrape may land one interval up.
+func TestHistogramQuantileMatchesSource(t *testing.T) {
+	logBucket := math.Pow(2, 1.0/8)
+	// interval returns the exposition bucket [lo, hi] holding v; past the
+	// last finite bound both ends are that bound, HistogramQuantile's answer
+	// for the +Inf bucket.
+	interval := func(v float64) (lo, hi float64) {
+		for _, b := range telemetry.DefaultBuckets {
+			if v <= b {
+				return lo, b
+			}
+			lo = b
+		}
+		return lo, lo
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := telemetry.NewRegistry()
+		h := reg.Histogram("m_ms")
+		for i := 0; i < 5000; i++ {
+			h.Observe(math.Pow(10, 5*rng.Float64())) // log-uniform 1ms..100s
+		}
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := ParseProm(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []float64{50, 90, 99} {
+			own := h.Quantile(p)
+			lo, _ := interval(own)
+			_, hi := interval(own * logBucket)
+			if got := sc.HistogramQuantile("m_ms", p); got < lo || got > hi {
+				t.Errorf("seed %d p%v: scraped %.4g outside [%v, %v], the bucket of Histogram.Quantile %.4g",
+					seed, p, got, lo, hi, own)
+			}
+		}
 	}
 }

@@ -93,7 +93,9 @@ func (c Config) maxWait() time.Duration {
 }
 
 // waiter is one queued request. The slot channel hands it admission; shed
-// hands it rejection. Both are buffered so the granter never blocks.
+// hands it rejection. Release, Drain or an overflowing Acquire that takes a
+// waiter off the queue sends on exactly one of them, after unlocking; both
+// are buffered so that send never blocks.
 type waiter struct {
 	slot chan struct{}
 	shed chan struct{}
@@ -144,6 +146,7 @@ func (g *Gate) Acquire(deadline time.Time) error {
 		victim = g.queue[0]
 		copy(g.queue, g.queue[1:])
 		g.queue = g.queue[:len(g.queue)-1]
+		g.shedTotal++
 	}
 	w := &waiter{slot: make(chan struct{}, 1), shed: make(chan struct{}, 1)}
 	g.queue = append(g.queue, w)
@@ -153,6 +156,7 @@ func (g *Gate) Acquire(deadline time.Time) error {
 	g.mu.Unlock()
 	if victim != nil {
 		victim.shed <- struct{}{}
+		g.logShed("queue-overflow")
 	}
 
 	wait := g.cfg.maxWait()
@@ -171,7 +175,6 @@ func (g *Gate) Acquire(deadline time.Time) error {
 	case <-w.slot:
 		return nil
 	case <-w.shed:
-		g.noteShed()
 		return ErrShed
 	case <-t.C:
 		g.abandon(w)
@@ -188,29 +191,24 @@ func (g *Gate) abandon(w *waiter) {
 			g.queue = append(g.queue[:i], g.queue[i+1:]...)
 			g.shedTotal++
 			g.mu.Unlock()
-			if g.cfg.Log != nil {
-				g.cfg.Log.Debug("request shed", "reason", "wait-expired")
-			}
+			g.logShed("wait-expired")
 			return
 		}
 	}
 	g.mu.Unlock()
-	// Not queued anymore: a grant or shed already landed in a buffered
-	// channel. A granted slot must go back or it leaks.
+	// Not queued anymore: whoever dequeued w is sending a grant or a shed,
+	// possibly not yet. Wait for it — a granted slot must go back or it
+	// leaks; a shed was already counted by the shedder.
 	select {
 	case <-w.slot:
 		g.Release()
-	default:
-		g.noteShed()
+	case <-w.shed:
 	}
 }
 
-func (g *Gate) noteShed() {
-	g.mu.Lock()
-	g.shedTotal++
-	g.mu.Unlock()
+func (g *Gate) logShed(reason string) {
 	if g.cfg.Log != nil {
-		g.cfg.Log.Debug("request shed", "reason", "queue-overflow")
+		g.cfg.Log.Debug("request shed", "reason", reason)
 	}
 }
 

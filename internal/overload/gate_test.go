@@ -162,8 +162,12 @@ func TestGateDrainShedsQueueAndRefuses(t *testing.T) {
 		t.Fatalf("acquire after drain: %v, want ErrDraining", err)
 	}
 	g.Release() // the in-flight request still releases cleanly
-	if st := g.Stats(); st.Inflight != 0 {
+	st := g.Stats()
+	if st.Inflight != 0 {
 		t.Fatalf("inflight after release = %d", st.Inflight)
+	}
+	if st.Shed != 1 {
+		t.Fatalf("shed = %d, want 1: each drained waiter counts once", st.Shed)
 	}
 }
 

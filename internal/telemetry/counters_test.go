@@ -6,11 +6,14 @@ import (
 	"testing"
 )
 
-// TestCountersConcurrent hammers Add/Get/Names/String from many goroutines;
-// run under -race (CI does) it proves the counter set is goroutine-safe —
-// experiments share one across loads and may fan loads out.
+// TestCountersConcurrent drives report counters on one registry from many
+// goroutines while it renders, as an experiment does when it fans loads out
+// over workers; under -race (CI runs it) it proves the shared set is
+// goroutine-safe. It also pins the report line: "name=value" pairs sorted
+// by name, a counter resolved but never incremented reading "=0".
 func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters()
+	r := NewRegistry()
+	r.Counter("touched")
 	const workers = 8
 	const perWorker = 2000
 	var wg sync.WaitGroup
@@ -19,31 +22,23 @@ func TestCountersConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Add("shared", 1)
-				c.Add(fmt.Sprintf("worker-%d", w), 2)
+				r.Counter("shared").Inc()
+				r.Counter(fmt.Sprintf("worker-%d", w)).Add(2)
 				if i%100 == 0 {
-					_ = c.Names()
-					_ = c.String()
-					_ = c.Get("shared")
-					c.Touch("touched")
+					_ = r.Text(" ")
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := c.Get("shared"); got != workers*perWorker {
+	if got := r.Counter("shared").Value(); got != workers*perWorker {
 		t.Errorf("shared counter = %d, want %d", got, workers*perWorker)
 	}
+	want := fmt.Sprintf("shared=%d touched=0", workers*perWorker)
 	for w := 0; w < workers; w++ {
-		if got := c.Get(fmt.Sprintf("worker-%d", w)); got != 2*perWorker {
-			t.Errorf("worker-%d = %d, want %d", w, got, 2*perWorker)
-		}
+		want += fmt.Sprintf(" worker-%d=%d", w, 2*perWorker)
 	}
-	if got := c.Get("touched"); got != 0 {
-		t.Errorf("touched counter = %d, want 0", got)
-	}
-	// names: shared + touched + one per worker.
-	if got := len(c.Names()); got != workers+2 {
-		t.Errorf("len(Names()) = %d, want %d", got, workers+2)
+	if got := r.Text(" "); got != want {
+		t.Errorf("Text = %q\nwant   %q", got, want)
 	}
 }

@@ -47,21 +47,21 @@ func writeSeries(w io.Writer, f *familySnap, ss seriesSnap) error {
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, ss.key, ss.s.gauge.Value())
 		return err
 	default:
-		snap := ss.s.hist.Snapshot(DefaultBuckets)
+		snap := ss.s.hist.snapshot(DefaultBuckets)
 		for i, b := range DefaultBuckets {
 			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-				withLabel(ss.key, "le", formatBound(b)), snap.Cumulative[i]); err != nil {
+				withLabel(ss.key, "le", formatBound(b)), snap.cumulative[i]); err != nil {
 				return err
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-			withLabel(ss.key, "le", "+Inf"), snap.Count); err != nil {
+			withLabel(ss.key, "le", "+Inf"), snap.count); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, ss.key, formatFloat(snap.Sum)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, ss.key, formatFloat(snap.sum)); err != nil {
 			return err
 		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, ss.key, snap.Count)
+		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, ss.key, snap.count)
 		return err
 	}
 }
@@ -134,16 +134,13 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 					if dump.Histograms == nil {
 						dump.Histograms = make(map[string]jsonHist)
 					}
-					snap := ss.s.hist.Snapshot(nil)
-					h := jsonHist{Count: snap.Count, Sum: snap.Sum}
-					if snap.Count > 0 {
-						h.Min, h.Max = snap.Min, snap.Max
-						h.P50 = ss.s.hist.h.Quantile(50)
-						h.P90 = ss.s.hist.h.Quantile(90)
-						h.P99 = ss.s.hist.h.Quantile(99)
-						h.Exemplar = ss.s.hist.Exemplar()
+					hist := ss.s.hist
+					snap := hist.snapshot(nil)
+					dump.Histograms[key] = jsonHist{
+						Count: snap.count, Sum: snap.sum, Min: snap.min, Max: snap.max,
+						P50: hist.Quantile(50), P90: hist.Quantile(90), P99: hist.Quantile(99),
+						Exemplar: hist.Exemplar(),
 					}
-					dump.Histograms[key] = h
 				}
 			}
 		}
@@ -151,4 +148,35 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(dump)
+}
+
+// Text renders the registry for a text report: one entry per series in name
+// order, joined by sep. A counter or gauge reads "name=value"; a histogram
+// reads its name padded to a column, then its headline quantiles and mean
+// in the observed unit. Histograms that saw no sample are left out. The
+// experiments render their per-figure distributions and event counts with
+// it.
+func (r *Registry) Text(sep string) string {
+	if r == nil {
+		return ""
+	}
+	var parts []string
+	for _, f := range r.snapshotFamilies() {
+		for _, ss := range f.series {
+			name := f.name + ss.key
+			switch f.kind {
+			case kindCounter:
+				parts = append(parts, fmt.Sprintf("%s=%d", name, ss.s.ctr.Value()))
+			case kindGauge:
+				parts = append(parts, fmt.Sprintf("%s=%d", name, ss.s.gauge.Value()))
+			default:
+				h := ss.s.hist
+				if n := h.N(); n > 0 {
+					parts = append(parts, fmt.Sprintf("%-28s p50=%.2f p90=%.2f p99=%.2f mean=%.2f n=%d",
+						name, h.Quantile(50), h.Quantile(90), h.Quantile(99), h.Mean(), n))
+				}
+			}
+		}
+	}
+	return strings.Join(parts, sep)
 }

@@ -1,18 +1,19 @@
-// Package telemetry is the runtime metrics plane for the live wire stack:
-// an atomic, scrape-safe registry of counters, gauges, and histograms with
-// Prometheus text exposition and a JSON dump.
+// Package telemetry holds the repository's statistics: a scrape-safe
+// registry of counters, gauges, and log-bucketed histograms, and the
+// raw-sample Dist that experiment reports and load artifacts quote.
 //
-// It wraps the repository's existing metrics substrate (internal/metrics
-// histograms) behind handles that are cheap on the hot path: a handle is
-// resolved once (one locked map lookup) and then updated with a single
-// atomic operation, so instrumented code can hold handles across a load.
-// Every handle type is nil-safe — methods on a nil *Counter/*Gauge/
-// *Histogram no-op — mirroring the nil-*obs.Tracer contract, so call sites
-// resolve handles through a possibly-nil *Registry and use them
-// unconditionally.
+// The registry serves both the live wire stack (Prometheus text exposition
+// and a JSON dump) and the simulated experiments (a per-figure registry
+// rendered into the report by Text). Handles are cheap on the hot path: a
+// handle is resolved once (one locked map lookup) and then updated with a
+// single atomic operation or a short critical section, so instrumented code
+// can hold handles across a load. Every handle type is nil-safe — methods
+// on a nil *Counter/*Gauge/*Histogram no-op — mirroring the nil-*obs.Tracer
+// contract, so call sites resolve handles through a possibly-nil *Registry
+// and use them unconditionally.
 //
-// Scrapes (WritePrometheus, WriteJSON) take a snapshot of the series list
-// under a read lock and read each series atomically, so a scrape racing
+// Scrapes (WritePrometheus, WriteJSON, Text) take a snapshot of the series
+// list under a read lock and read each series atomically, so a scrape racing
 // thousands of updates sees a consistent, if instantaneous, view and never
 // blocks writers for longer than a map read.
 package telemetry
@@ -22,9 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"vroom/internal/metrics"
 )
 
 // Label is one key/value dimension on a series (e.g. origin, phase, kind).
@@ -96,97 +94,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Histogram is a sample-distribution series backed by the constant-memory
-// log-bucketed metrics.Histogram. A nil *Histogram no-ops. Values are in
-// the unit the caller observes; the wire stack records milliseconds.
-type Histogram struct {
-	h *metrics.Histogram
-	// ex is the latest exemplar: one (value, trace context) pair kept per
-	// series so a scrape can name a concrete recent trace behind the
-	// distribution. Exposed in the JSON dump only — the Prometheus text
-	// endpoint stays plain so simple line parsers keep working.
-	ex atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one observed sample to the trace it came from.
-type Exemplar struct {
-	Value float64
-	// Trace is the caller-supplied trace context string (an
-	// obs.TraceContext wire form on the wire stack).
-	Trace string
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.h.Observe(v)
-}
-
-// ObserveExemplar records one sample and, when trace is non-empty, stamps
-// it as the series' latest exemplar. With an empty trace it is exactly
-// Observe, so call sites can pass their possibly-empty flow ID
-// unconditionally.
-func (h *Histogram) ObserveExemplar(v float64, trace string) {
-	if h == nil {
-		return
-	}
-	h.h.Observe(v)
-	if trace != "" {
-		h.ex.Store(&Exemplar{Value: v, Trace: trace})
-	}
-}
-
-// Exemplar returns the latest exemplar, or nil when none was recorded.
-func (h *Histogram) Exemplar() *Exemplar {
-	if h == nil {
-		return nil
-	}
-	return h.ex.Load()
-}
-
-// ObserveDuration records a duration sample in milliseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if h == nil {
-		return
-	}
-	h.h.ObserveDuration(d)
-}
-
-// Quantile estimates the p-th percentile (0 < p <= 100) of the observed
-// samples (0 on nil or when nothing was observed).
-func (h *Histogram) Quantile(p float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.h.Quantile(p)
-}
-
-// N returns the number of samples observed (0 on nil).
-func (h *Histogram) N() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.h.N()
-}
-
-// Mean returns the mean of the observed samples (0 on nil).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.h.Mean()
-}
-
-// Snapshot exposes the underlying histogram snapshot (zero value on nil).
-func (h *Histogram) Snapshot(bounds []float64) metrics.Snapshot {
-	if h == nil {
-		return metrics.Snapshot{Cumulative: make([]uint64, len(bounds))}
-	}
-	return h.h.Snapshot(bounds)
 }
 
 // DefaultBuckets are the exposition upper bounds (milliseconds) used for
@@ -311,7 +218,7 @@ func newSeries(k kind, name string, labels []Label) *series {
 	case kindGauge:
 		s.gauge = &Gauge{}
 	default:
-		s.hist = &Histogram{h: metrics.NewHistogram()}
+		s.hist = &Histogram{}
 	}
 	return s
 }

@@ -29,9 +29,9 @@ import (
 	"vroom/internal/core"
 	"vroom/internal/experiments"
 	"vroom/internal/hints"
-	"vroom/internal/metrics"
 	"vroom/internal/replay"
 	"vroom/internal/runner"
+	"vroom/internal/telemetry"
 	"vroom/internal/urlutil"
 	"vroom/internal/webpage"
 	"vroom/internal/wire"
@@ -167,7 +167,7 @@ type (
 	// ExperimentResult is one reproduced figure.
 	ExperimentResult = experiments.Result
 	// Dist is a sample distribution with percentile accessors.
-	Dist = metrics.Dist
+	Dist = telemetry.Dist
 )
 
 // DefaultExperimentOptions reproduces the paper's scale; quick options for
