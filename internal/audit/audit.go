@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"vroom/internal/benchfmt"
+	"vroom/internal/hints"
 	"vroom/internal/hintstore"
 	"vroom/internal/loadgen"
 	"vroom/internal/obs"
@@ -109,14 +110,6 @@ type FlightStats struct {
 	Dropped int64 `json:"dropped,omitempty"`
 }
 
-// ratio returns num/den guarding the empty denominator.
-func ratio(num, den int64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
 // Summarize builds a report from a scrape series. Counters come from the
 // newest usable scrape (they are cumulative, so the last scrape is the
 // whole run); the gap count reports how much of the storm the series
@@ -146,8 +139,7 @@ func Summarize(points []loadgen.ScrapePoint) *Report {
 		StalenessP50Ms:  sc.HistogramQuantile(hintstore.MetricStalenessMs, 50),
 		StalenessP99Ms:  sc.HistogramQuantile(hintstore.MetricStalenessMs, 99),
 	}
-	r.Totals.Precision = ratio(r.Totals.HintsUsed, r.Totals.HintsUsed+r.Totals.HintsUnused)
-	r.Totals.Recall = ratio(r.Totals.HintsUsed, r.Totals.HintsUsed+r.Totals.HintsMissed)
+	r.Totals.Precision, r.Totals.Recall = precisionRecall(r.Totals.HintsUsed, r.Totals.HintsUnused, r.Totals.HintsMissed)
 	r.Origins = originRows(sc)
 
 	if sc.Has(telemetry.MRuntimeGoroutines) || sc.Has(telemetry.MRuntimeHeapBytes) {
@@ -161,6 +153,13 @@ func Summarize(points []loadgen.ScrapePoint) *Report {
 		}
 	}
 	return r
+}
+
+// precisionRecall scores settled hint counts by the hints.QualityDelta
+// formulas.
+func precisionRecall(used, unused, missed int64) (float64, float64) {
+	q := hints.QualityDelta{HintsUsed: used, HintsUnused: unused, HintsMissed: missed}
+	return q.Precision(), q.Recall()
 }
 
 // originRows reassembles per-origin rows from the flat exposition: the
@@ -212,8 +211,7 @@ func originRows(sc *loadgen.Scrape) []benchfmt.OriginStats {
 			PushedBytes:     int64(families["pushed"][o]),
 			WastedPushBytes: int64(families["wasted"][o]),
 		}
-		row.Precision = ratio(row.HintsUsed, row.HintsUsed+row.HintsUnused)
-		row.Recall = ratio(row.HintsUsed, row.HintsUsed+row.HintsMissed)
+		row.Precision, row.Recall = precisionRecall(row.HintsUsed, row.HintsUnused, row.HintsMissed)
 		rows = append(rows, row)
 	}
 	return rows

@@ -85,6 +85,9 @@ type Entry struct {
 	// page uses it, or from its hint).
 	Priority hints.Priority
 	Pushed   bool
+	// pushLate marks a push that arrived after the entry already had its
+	// bytes: it was transferred but never used.
+	pushLate bool
 
 	// Size is the number of bytes transferred for this entry.
 	Size int
@@ -564,7 +567,8 @@ func (l *Load) PushArrived(f *Fetched) {
 	e := l.Entry(f.URL)
 	e.Pushed = true
 	if e.State == StateProcessed || e.State == StateArrived {
-		return // duplicate push of something we already have
+		e.pushLate = true // a push of something we already have
+		return
 	}
 	e.State = StateInFlight
 	l.deliver(e, f)

@@ -217,6 +217,35 @@ func TestPushAvoidsDuplicateRequest(t *testing.T) {
 	if !e.Pushed || e.State != StateProcessed {
 		t.Fatalf("pushed entry state: %+v", e)
 	}
+	if o := l.Outcome(e); !o.Pushed || !o.Claimed {
+		t.Fatalf("a pushed stylesheet the page required settles unclaimed: %+v", o)
+	}
+}
+
+// TestLatePushSettlesWasted pushes a stylesheet after the page fetched it
+// itself: the push is pushed but never claimed, so its bytes are wasted.
+func TestLatePushSettlesWasted(t *testing.T) {
+	l, ft := loadSite(t, Config{}, nil, 30*time.Millisecond)
+	var css *webpage.Resource
+	for _, r := range ft.sn.Ordered() {
+		if r.Type == webpage.CSS {
+			css = r
+			break
+		}
+	}
+	if css == nil {
+		t.Skip("no css")
+	}
+	if got := l.Result().WastedPushBytes; got != 0 {
+		t.Fatalf("no push yet, %d wasted push bytes", got)
+	}
+	l.PushArrived(&Fetched{URL: css.URL, Res: css, Size: css.Size, Pushed: true})
+	if o := l.Outcome(l.Entry(css.URL)); !o.Pushed || o.Claimed || !o.Required {
+		t.Fatalf("late push outcome: %+v", o)
+	}
+	if got := l.Result().WastedPushBytes; got != int64(css.Size) {
+		t.Fatalf("late push wasted %d bytes, want %d", got, css.Size)
+	}
 }
 
 func TestHintsPrefetchSpeculative(t *testing.T) {

@@ -62,8 +62,9 @@ type Result struct {
 	// speculative fetches (hints/pushes) the page never needed.
 	BytesFetched int64
 	WastedBytes  int64
-	// WastedPushBytes are delivered push bytes the page never required —
-	// the server burned client bandwidth on them.
+	// WastedPushBytes are delivered push bytes the page never used, because
+	// it never required them or already had them — the server burned client
+	// bandwidth on them.
 	WastedPushBytes int64
 	// Fault/degradation counters: retries issued, attempt timeouts fired,
 	// terminal per-attempt failures observed, and hinted prefetches that
@@ -74,10 +75,9 @@ type Result struct {
 	HintsFailed   int
 	NumRequired   int
 	NumFetched    int
-	// Hint-quality ledger, the simulator's half of the per-tenant efficacy
-	// accounting (DESIGN.md §13): a hinted URL is "used" when the page
-	// turned out to require it and "unused" otherwise; a required
-	// non-document resource the hints never named is "missed".
+	// Hint-quality ledger: the entries' outcomes settled by hints.Settle
+	// (DESIGN.md §13). HintsEmitted counts the hinted entries, so it is
+	// HintsUsed + HintsUnused.
 	HintsEmitted int
 	HintsUsed    int
 	HintsUnused  int
@@ -85,21 +85,30 @@ type Result struct {
 	Resources    []ResourceTiming
 }
 
-// HintPrecision is used / settled hints (0 when no hint settled).
-func (r Result) HintPrecision() float64 {
-	if n := r.HintsUsed + r.HintsUnused; n > 0 {
-		return float64(r.HintsUsed) / float64(n)
+// Outcome describes what the load did with e, for hints.Settle. A push is
+// claimed when it delivered a resource the page required and did not yet
+// have.
+func (l *Load) Outcome(e *Entry) hints.Outcome {
+	pushed := e.Pushed && (e.State == StateArrived || e.State == StateProcessed)
+	return hints.Outcome{
+		Host:      e.URL.Host,
+		Hinted:    e.Hinted,
+		Required:  e.Required,
+		Doc:       e.Res != nil && e.Res.Type == webpage.HTML,
+		Pushed:    pushed,
+		Claimed:   pushed && e.Required && !e.pushLate,
+		Bytes:     int64(e.Size),
+		ArrivedAt: l.since(e.ArrivedAt),
+		NeededAt:  l.since(e.RequiredAt),
 	}
-	return 0
 }
 
-// HintRecall is used hints / (used + missed) — the share of required
-// subresources the hints named ahead of discovery.
-func (r Result) HintRecall() float64 {
-	if n := r.HintsUsed + r.HintsMissed; n > 0 {
-		return float64(r.HintsUsed) / float64(n)
+// since is t's offset from load start, zero for the zero time.
+func (l *Load) since(t time.Time) time.Duration {
+	if t.IsZero() {
+		return 0
 	}
-	return 0
+	return t.Sub(l.start)
 }
 
 // Result computes the load summary. It must be called after the load
@@ -109,8 +118,7 @@ func (l *Load) Result() Result {
 	if !l.finished {
 		return r
 	}
-	start := l.start
-	r.PLT = l.finishedAt.Sub(start)
+	r.PLT = l.finishedAt.Sub(l.start)
 	r.CPUBusy = l.busyTotal
 	if r.PLT > 0 {
 		idle := r.PLT - l.busyTotal
@@ -123,58 +131,34 @@ func (l *Load) Result() Result {
 	r.Timeouts = l.timeouts
 	r.FailedFetches = l.failedFetches
 	r.HintsFailed = l.hintsFailed
+	var q hints.QualityDelta
 	for _, e := range l.Entries() {
 		if e.State == StateArrived || e.State == StateProcessed {
 			r.NumFetched++
 			r.BytesFetched += int64(e.Size)
 			if !e.Required {
 				r.WastedBytes += int64(e.Size)
-				if e.Pushed {
-					r.WastedPushBytes += int64(e.Size)
-				}
 			}
 		}
+		o := l.Outcome(e)
+		q.Add(hints.Settle(o))
 		rt := ResourceTiming{
-			URL:        e.URL.String(),
-			Priority:   e.Priority,
-			Required:   e.Required,
-			Hinted:     e.Hinted,
-			Pushed:     e.Pushed,
-			Doc:        e.Res != nil && e.Res.Type == webpage.HTML,
-			Size:       e.Size,
-			Failed:     e.FailReason != "",
-			FailReason: e.FailReason,
-		}
-		switch {
-		case e.Hinted && e.Required:
-			r.HintsEmitted++
-			r.HintsUsed++
-		case e.Hinted:
-			r.HintsEmitted++
-			r.HintsUnused++
-		case e.Required && !rt.Doc:
-			r.HintsMissed++
-		}
-		if !e.DiscoveredAt.IsZero() {
-			rt.DiscoveredAt = e.DiscoveredAt.Sub(start)
-		}
-		if !e.RequiredAt.IsZero() {
-			rt.RequiredAt = e.RequiredAt.Sub(start)
-		}
-		if !e.RequestedAt.IsZero() {
-			rt.RequestedAt = e.RequestedAt.Sub(start)
-		}
-		if !e.PushPromisedAt.IsZero() {
-			rt.PushPromisedAt = e.PushPromisedAt.Sub(start)
-		}
-		if !e.FirstByteAt.IsZero() {
-			rt.FirstByteAt = e.FirstByteAt.Sub(start)
-		}
-		if !e.ArrivedAt.IsZero() {
-			rt.ArrivedAt = e.ArrivedAt.Sub(start)
-		}
-		if !e.ProcessedAt.IsZero() {
-			rt.ProcessedAt = e.ProcessedAt.Sub(start)
+			URL:            e.URL.String(),
+			Priority:       e.Priority,
+			Required:       e.Required,
+			Hinted:         e.Hinted,
+			Pushed:         e.Pushed,
+			Doc:            o.Doc,
+			Size:           e.Size,
+			DiscoveredAt:   l.since(e.DiscoveredAt),
+			RequiredAt:     o.NeededAt,
+			RequestedAt:    l.since(e.RequestedAt),
+			PushPromisedAt: l.since(e.PushPromisedAt),
+			FirstByteAt:    l.since(e.FirstByteAt),
+			ArrivedAt:      o.ArrivedAt,
+			ProcessedAt:    l.since(e.ProcessedAt),
+			Failed:         e.FailReason != "",
+			FailReason:     e.FailReason,
 		}
 		r.Resources = append(r.Resources, rt)
 		if !e.Required {
@@ -196,6 +180,9 @@ func (l *Load) Result() Result {
 			}
 		}
 	}
+	r.HintsUsed, r.HintsUnused, r.HintsMissed = int(q.HintsUsed), int(q.HintsUnused), int(q.HintsMissed)
+	r.HintsEmitted = r.HintsUsed + r.HintsUnused
+	r.WastedPushBytes = q.WastedPushBytes
 	r.AFT, r.SpeedIndex = l.visualMetrics()
 	return r
 }

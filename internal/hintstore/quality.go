@@ -3,6 +3,7 @@ package hintstore
 import (
 	"sync/atomic"
 
+	"vroom/internal/hints"
 	"vroom/internal/hintstore/persist"
 	"vroom/internal/telemetry"
 )
@@ -34,7 +35,8 @@ const (
 // hinted — the recall denominator's other half. Push-byte usage is settled
 // client-side (a claimed push never re-crosses the wire), so
 // WastedPushBytes here is fed by whichever reconciler can see it: the wire
-// accountant's expired pushed-hint windows, or the simulator's browser.
+// accountant's redundant pushes, or the simulator's hints.Settle outcomes.
+// The per-push used/wasted counts of a hints.QualityDelta are not kept.
 type Quality struct {
 	HintsEmitted atomic.Int64
 	HintsUsed    atomic.Int64
@@ -55,22 +57,8 @@ type Quality struct {
 	StaleServes     atomic.Int64
 }
 
-// QualityDelta is one batch of efficacy observations applied to a tenant's
-// ledger. The wire accountant and the simulator settle events one at a
-// time, so a delta usually carries a single nonzero field.
-type QualityDelta struct {
-	HintsEmitted, HintsUsed, HintsUnused, HintsMissed int64
-	PushedCount, PushedBytes, WastedPushBytes         int64
-	// PushLeadMs / StaleServeMs are duration observations (ms); counted
-	// when the matching count field is nonzero.
-	PushLeadMs float64
-	PushLeads  int64
-	StaleMs    float64
-	StaleObs   int64
-}
-
 // apply folds the delta into the ledger.
-func (q *Quality) apply(d QualityDelta) {
+func (q *Quality) apply(d hints.QualityDelta) {
 	if q == nil {
 		return
 	}
@@ -97,48 +85,10 @@ func addPos(c *atomic.Int64, n int64) {
 	}
 }
 
-// QualitySnapshot is a point-in-time copy of a tenant's ledger with derived
-// precision/recall.
+// QualitySnapshot is a point-in-time copy of a tenant's ledger.
 type QualitySnapshot struct {
 	Origin string
 	persist.QualityState
-}
-
-// Precision is used / (used + unused): of the hints whose windows settled,
-// the fraction the client actually requested. NaN-free: zero denominator
-// reports 0.
-func (s QualitySnapshot) Precision() float64 {
-	den := s.HintsUsed + s.HintsUnused
-	if den == 0 {
-		return 0
-	}
-	return float64(s.HintsUsed) / float64(den)
-}
-
-// Recall is used / (used + missed): of the subresources the client needed,
-// the fraction the table predicted.
-func (s QualitySnapshot) Recall() float64 {
-	den := s.HintsUsed + s.HintsMissed
-	if den == 0 {
-		return 0
-	}
-	return float64(s.HintsUsed) / float64(den)
-}
-
-// MeanPushLeadMs is the average push lead time (0 when no leads settled).
-func (s QualitySnapshot) MeanPushLeadMs() float64 {
-	if s.PushLeads == 0 {
-		return 0
-	}
-	return float64(s.PushLeadMsSum) / float64(s.PushLeads)
-}
-
-// MeanStalenessMs is the average served-table staleness age.
-func (s QualitySnapshot) MeanStalenessMs() float64 {
-	if s.StaleServes == 0 {
-		return 0
-	}
-	return float64(s.StaleServeMsSum) / float64(s.StaleServes)
 }
 
 // state copies the ledger into its durable form, the one shape both a
@@ -213,7 +163,7 @@ func (st *Store) instrumentQuality(reg *telemetry.Registry) {
 // and the per-origin metric families. Unknown origins (evicted tenants,
 // misses) still reach the metrics so the scrape surface is complete, but
 // have no shard ledger to persist. Safe on a nil store.
-func (st *Store) NoteQuality(origin string, d QualityDelta) {
+func (st *Store) NoteQuality(origin string, d hints.QualityDelta) {
 	if st == nil {
 		return
 	}

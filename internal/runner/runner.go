@@ -164,7 +164,7 @@ func Run(site *webpage.Site, pol Policy, opts Options) (browser.Result, error) {
 		return browser.Result{}, fmt.Errorf("runner: %s on %s: load did not finish (%s)", pol, site.Name, load)
 	}
 	res := load.Result()
-	farm.SettleQuality(res)
+	farm.SettleQuality()
 	return res, nil
 }
 

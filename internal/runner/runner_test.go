@@ -1,11 +1,13 @@
 package runner
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"vroom/internal/browser"
+	"vroom/internal/hints"
 	"vroom/internal/hintstore"
 	"vroom/internal/loadgen"
 	"vroom/internal/telemetry"
@@ -105,54 +107,61 @@ func TestWarmCacheFaster(t *testing.T) {
 }
 
 // TestQualityAccountingFeedsStore runs the full Vroom policy with a quality
-// store attached and checks the farm-side settlement agrees exactly with
-// the browser's own ledger: the store's settled counters are fed from the
-// same per-resource records the Result counts.
+// store attached, over 20 seeded sites of every category, and checks the
+// farm-side settlement agrees exactly with the browser's own ledger: both
+// are hints.Settle over the same per-entry outcomes.
 func TestQualityAccountingFeedsStore(t *testing.T) {
-	site := newsSite(77)
-	st := hintstore.New(hintstore.Config{TTL: time.Hour})
-	reg := telemetry.NewRegistry()
-	st.Instrument(reg)
+	var pushedBytes int64
+	for seed := int64(1); seed <= 20; seed++ {
+		site := webpage.NewSite(fmt.Sprintf("quality%02d", seed), webpage.Category(seed%3), seed)
+		st := hintstore.New(hintstore.Config{TTL: time.Hour})
+		reg := telemetry.NewRegistry()
+		st.Instrument(reg)
 
-	res, err := Run(site, Vroom, Options{Time: loadTime, Nonce: 1, Quality: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HintsEmitted == 0 || res.HintsUsed == 0 {
-		t.Fatalf("vroom load settled no hints: %+v", res)
-	}
-	if p := res.HintPrecision(); p <= 0 || p > 1 {
-		t.Fatalf("precision %v out of (0,1]", p)
-	}
-	if r := res.HintRecall(); r <= 0 || r > 1 {
-		t.Fatalf("recall %v out of (0,1]", r)
-	}
+		res, err := Run(site, Vroom, Options{Time: loadTime, Nonce: 1, Quality: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.HintsEmitted == 0 || res.HintsUsed == 0 {
+			t.Fatalf("seed %d: vroom load settled no hints: %+v", seed, res)
+		}
+		q := hints.QualityDelta{HintsUsed: int64(res.HintsUsed), HintsUnused: int64(res.HintsUnused),
+			HintsMissed: int64(res.HintsMissed)}
+		if p, r := q.Precision(), q.Recall(); p <= 0 || p > 1 || r <= 0 || r > 1 {
+			t.Fatalf("seed %d: precision %v, recall %v out of (0,1]", seed, p, r)
+		}
 
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	sc, err := loadgen.ParseProm(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := int(sc.Sum(hintstore.MetricHintsUsed, nil))
-	unused := int(sc.Sum(hintstore.MetricHintsUnused, nil))
-	missed := int(sc.Sum(hintstore.MetricHintsMissed, nil))
-	emitted := int(sc.Sum(hintstore.MetricHintsEmitted, nil))
-	if used != res.HintsUsed || unused != res.HintsUnused || missed != res.HintsMissed {
-		t.Fatalf("store settlement (used %d unused %d missed %d) != result (%d %d %d)",
-			used, unused, missed, res.HintsUsed, res.HintsUnused, res.HintsMissed)
-	}
-	// The farm emits per served document, so repeats across documents can
-	// only push emissions above the deduped settled count.
-	if emitted < used+unused {
-		t.Fatalf("emitted %d < settled %d", emitted, used+unused)
-	}
-	if res.WastedPushBytes > 0 {
-		if got := int64(sc.Sum(hintstore.MetricWastedPush, nil)); got != res.WastedPushBytes {
-			t.Fatalf("wasted push bytes: store %d, result %d", got, res.WastedPushBytes)
+		var sb strings.Builder
+		reg.WritePrometheus(&sb)
+		sc, err := loadgen.ParseProm(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := int(sc.Sum(hintstore.MetricHintsUsed, nil))
+		unused := int(sc.Sum(hintstore.MetricHintsUnused, nil))
+		missed := int(sc.Sum(hintstore.MetricHintsMissed, nil))
+		emitted := int(sc.Sum(hintstore.MetricHintsEmitted, nil))
+		if used != res.HintsUsed || unused != res.HintsUnused || missed != res.HintsMissed {
+			t.Fatalf("seed %d: store settlement (used %d unused %d missed %d) != result (%d %d %d)",
+				seed, used, unused, missed, res.HintsUsed, res.HintsUnused, res.HintsMissed)
+		}
+		// The farm emits per served document, so repeats across documents can
+		// only push emissions above the deduped settled count.
+		if emitted < used+unused {
+			t.Fatalf("seed %d: emitted %d < settled %d", seed, emitted, used+unused)
+		}
+		pushed := int64(sc.Sum(hintstore.MetricPushedBytes, nil))
+		wasted := int64(sc.Sum(hintstore.MetricWastedPush, nil))
+		if wasted != res.WastedPushBytes || wasted > pushed {
+			t.Fatalf("seed %d: wasted push bytes: store %d of %d pushed, result %d",
+				seed, wasted, pushed, res.WastedPushBytes)
+		}
+		pushedBytes += pushed
+		if !strings.Contains(sb.String(), hintstore.MetricHintsUsed+`{origin="`) {
+			t.Fatalf("seed %d: per-origin used series missing from exposition", seed)
 		}
 	}
-	if !strings.Contains(sb.String(), hintstore.MetricHintsUsed+`{origin="`) {
-		t.Fatal("per-origin used series missing from exposition")
+	if pushedBytes == 0 {
+		t.Fatal("no seed pushed anything under the Vroom policy")
 	}
 }

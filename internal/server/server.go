@@ -107,10 +107,9 @@ type Farm struct {
 
 	// Quality, when set, receives the farm's hint-efficacy accounting:
 	// emissions are credited to the hinting document's origin as they are
-	// served, and SettleQuality (called with the finished load's result)
-	// settles used/unused/missed and push-byte outcomes against each
-	// resource's own host — the same attribution split the wire accountant
-	// uses. Nil disables, the zero-overhead path.
+	// served, and SettleQuality (called once the load finished) settles
+	// each resource's outcome against its own host — the same attribution
+	// split the wire accountant uses. Nil disables, the zero-overhead path.
 	Quality *hintstore.Store
 
 	pushed map[string]bool
@@ -224,7 +223,7 @@ func (f *Farm) handle(rt *netsim.RoundTrip, done func(*browser.Fetched)) {
 				obs.Arg{Key: "count", Val: fmt.Sprint(len(hs))})
 		}
 		if f.Quality != nil && len(hs) > 0 {
-			f.Quality.NoteQuality(rt.URL.Host, hintstore.QualityDelta{HintsEmitted: int64(len(hs))})
+			f.Quality.NoteQuality(rt.URL.Host, hints.QualityDelta{HintsEmitted: int64(len(hs))})
 		}
 		f.push(rt, hs)
 		if !f.Policy.SendHints {
@@ -237,42 +236,19 @@ func (f *Farm) handle(rt *netsim.RoundTrip, done func(*browser.Fetched)) {
 	})
 }
 
-// SettleQuality folds a finished load's hint outcomes into the quality
-// store: hinted resources settle used or unused against their own host,
-// required non-document resources the hints never named count missed, and
-// pushed resources settle their byte and lead-time ledgers. No-op without
-// a Quality store.
-func (f *Farm) SettleQuality(r browser.Result) {
-	if f.Quality == nil {
+// SettleQuality folds the finished client load's outcomes into the quality
+// store, one hints.Settle delta per resource against the resource's own
+// host, so each push is at most one lead observation. No-op without a
+// Quality store.
+func (f *Farm) SettleQuality() {
+	if f.Quality == nil || f.Client == nil {
 		return
 	}
-	for _, rt := range r.Resources {
-		u, err := urlutil.Parse(rt.URL)
-		if err != nil {
-			continue
+	for _, e := range f.Client.Entries() {
+		o := f.Client.Outcome(e)
+		if d := hints.Settle(o); d != (hints.QualityDelta{}) {
+			f.Quality.NoteQuality(o.Host, d)
 		}
-		var d hintstore.QualityDelta
-		switch {
-		case rt.Hinted && rt.Required:
-			d.HintsUsed = 1
-		case rt.Hinted:
-			d.HintsUnused = 1
-		case rt.Required && !rt.Doc:
-			d.HintsMissed = 1
-		default:
-			continue
-		}
-		if rt.Pushed {
-			d.PushedCount, d.PushedBytes = 1, int64(rt.Size)
-			if !rt.Required {
-				d.WastedPushBytes = int64(rt.Size)
-			} else if rt.ArrivedAt > 0 && rt.RequiredAt > rt.ArrivedAt {
-				// The push beat the page's need: that headroom is its lead.
-				d.PushLeadMs = float64((rt.RequiredAt - rt.ArrivedAt).Milliseconds())
-				d.PushLeads = 1
-			}
-		}
-		f.Quality.NoteQuality(u.Host, d)
 	}
 }
 

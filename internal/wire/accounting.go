@@ -17,16 +17,13 @@ import (
 // the vroom_hint_quality_* metric families), which is what vroom-audit and
 // ROADMAP item 3's push policies read.
 //
-// Push semantics are asymmetric by construction: a pushed resource the
-// client uses is claimed from its push cache and never re-crosses the wire,
-// so the server cannot see successful pushes — only redundant ones (the
-// client requested a URL that was also pushed: duplicate bytes, settled
-// here as wasted). The authoritative pushed = used + wasted split is
-// client-side (Report.PushQuality); the accountant contributes the
-// server-observable half: pushed counts/bytes and provably-redundant push
-// bytes. A prediction that was pushed and expires unrequested settles as
-// used — the push pre-empted the request — leaving the client-side ledger
-// to say whether those bytes were worth it.
+// It is the server's only estimator; the truth is what the client settles
+// with hints.Settle (Report.PushQuality). It sees requests, not needs, so a
+// client that prefetches every hint makes every hint settle used: used is
+// an upper bound (TestAccountantAgainstClientSettlement measures the gap).
+// A claimed push never re-crosses the wire, so a pushed prediction that
+// expires unrequested settles used (the push pre-empted the request), and
+// only a redundant push — the client also requested the URL — is wasted.
 //
 // Windows are attributed to the hinted URL's own host (same-origin for the
 // vast majority of hints); the staleness-age observation rides on the
@@ -147,7 +144,7 @@ func (a *Accountant) NoteHints(docOrigin string, hs []hints.Hint, age time.Durat
 		ol.open[key] = &prediction{attr: host, emitted: now}
 	}
 	a.mu.Unlock()
-	d := hintstore.QualityDelta{HintsEmitted: int64(len(hs))}
+	d := hints.QualityDelta{HintsEmitted: int64(len(hs))}
 	if ageValid {
 		d.StaleMs = float64(age.Milliseconds())
 		d.StaleObs = 1
@@ -172,7 +169,7 @@ func (a *Accountant) NotePush(host, url string, bytes int64) {
 		}
 	}
 	a.mu.Unlock()
-	a.cfg.Store.NoteQuality(attr, hintstore.QualityDelta{PushedCount: 1, PushedBytes: bytes})
+	a.cfg.Store.NoteQuality(attr, hints.QualityDelta{PushedCount: 1, PushedBytes: bytes})
 }
 
 // NoteRequest settles the URL's window as used (plus redundant-push waste
@@ -198,44 +195,34 @@ func (a *Accountant) NoteRequest(host, url string, isDoc bool) {
 	a.mu.Unlock()
 	switch {
 	case settled != nil:
-		d := hintstore.QualityDelta{HintsUsed: 1}
+		d := hints.QualityDelta{HintsUsed: 1}
 		if settled.pushed {
 			d.WastedPushBytes = settled.bytes
 		}
 		a.cfg.Store.NoteQuality(settled.attr, d)
 	case !isDoc:
-		a.cfg.Store.NoteQuality(host, hintstore.QualityDelta{HintsMissed: 1})
+		a.cfg.Store.NoteQuality(host, hints.QualityDelta{HintsMissed: 1})
 	}
 }
 
-// Flush settles every open window immediately (drain path): unpushed
-// windows as unused, pushed ones as used (see the type comment). Returns
-// how many windows were settled.
+// endOfTime is past every window's expiry.
+var endOfTime = time.Unix(1<<40, 0)
+
+// Flush settles every open window immediately (drain path), as expiry
+// would: unpushed windows as unused, pushed ones as used (see the type
+// comment). Returns how many windows were settled.
 func (a *Accountant) Flush() int {
 	if a == nil {
 		return 0
 	}
 	a.mu.Lock()
-	type settle struct {
-		attr   string
-		pushed bool
-	}
-	var all []settle
+	defer a.mu.Unlock()
+	n := 0
 	for _, ol := range a.origins {
-		for _, p := range ol.open {
-			all = append(all, settle{attr: p.attr, pushed: p.pushed})
-		}
-		ol.open = make(map[string]*prediction)
+		n += len(ol.open)
+		a.expireLocked(ol, endOfTime)
 	}
-	a.mu.Unlock()
-	for _, s := range all {
-		if s.pushed {
-			a.cfg.Store.NoteQuality(s.attr, hintstore.QualityDelta{HintsUsed: 1})
-		} else {
-			a.cfg.Store.NoteQuality(s.attr, hintstore.QualityDelta{HintsUnused: 1})
-		}
-	}
-	return len(all)
+	return n
 }
 
 // Drops reports predictions dropped at a cardinality or window bound.
@@ -284,9 +271,9 @@ func (a *Accountant) expireLocked(ol *originLedger, now time.Time) {
 		}
 		delete(ol.open, key)
 		if p.pushed {
-			a.cfg.Store.NoteQuality(p.attr, hintstore.QualityDelta{HintsUsed: 1})
+			a.cfg.Store.NoteQuality(p.attr, hints.QualityDelta{HintsUsed: 1})
 		} else {
-			a.cfg.Store.NoteQuality(p.attr, hintstore.QualityDelta{HintsUnused: 1})
+			a.cfg.Store.NoteQuality(p.attr, hints.QualityDelta{HintsUnused: 1})
 		}
 	}
 }

@@ -75,14 +75,16 @@ func TestAccountantSettlement(t *testing.T) {
 	if q.PushedCount != 1 || q.PushedBytes != 500 || q.WastedPushBytes != 500 {
 		t.Errorf("push accounting: %+v", q)
 	}
-	if got := q.Precision(); got != 0.5 {
+	settled := hints.QualityDelta{HintsUsed: q.HintsUsed, HintsUnused: q.HintsUnused, HintsMissed: q.HintsMissed}
+	if got := settled.Precision(); got != 0.5 {
 		t.Errorf("precision = %v, want 0.5", got)
 	}
-	if got := q.Recall(); got < 0.66 || got > 0.67 {
+	if got := settled.Recall(); got < 0.66 || got > 0.67 {
 		t.Errorf("recall = %v, want 2/3", got)
 	}
-	if got := q.MeanStalenessMs(); got != 2000 {
-		t.Errorf("mean staleness = %v, want 2000 (fallback emission must not observe)", got)
+	if q.StaleServes != 1 || q.StaleServeMsSum != 2000 {
+		t.Errorf("staleness %d ms over %d serves, want 2000 over 1 (fallback emission must not observe)",
+			q.StaleServeMsSum, q.StaleServes)
 	}
 	if acct.Drops() != 0 {
 		t.Errorf("drops = %d, want 0", acct.Drops())
@@ -138,13 +140,13 @@ type scanLedger struct {
 	window  time.Duration
 	maxOpen int
 	open    map[string]map[string]*prediction // host -> url -> window
-	tally   map[string]*hintstore.QualityDelta
+	tally   map[string]*hints.QualityDelta
 	drops   int64
 }
 
-func (m *scanLedger) of(host string) *hintstore.QualityDelta {
+func (m *scanLedger) of(host string) *hints.QualityDelta {
 	if m.tally[host] == nil {
-		m.tally[host] = &hintstore.QualityDelta{}
+		m.tally[host] = &hints.QualityDelta{}
 	}
 	return m.tally[host]
 }
@@ -231,7 +233,7 @@ func TestAccountantExpiryMatchesFullScan(t *testing.T) {
 		acct := NewAccountant(AccountingConfig{Store: st, Window: window, MaxOpenPerOrigin: 12,
 			Clock: func() time.Time { return now }})
 		ref := &scanLedger{window: window, maxOpen: 12,
-			open: map[string]map[string]*prediction{}, tally: map[string]*hintstore.QualityDelta{}}
+			open: map[string]map[string]*prediction{}, tally: map[string]*hints.QualityDelta{}}
 		pick := func() (string, string) {
 			host := hosts[rng.Intn(len(hosts))]
 			return host, hintFor(host, fmt.Sprintf("/r%d", rng.Intn(20))).URL.String()
@@ -271,7 +273,7 @@ func TestAccountantExpiryMatchesFullScan(t *testing.T) {
 		}
 		for _, h := range hosts {
 			q, want := st.QualityOf(h), ref.of(h)
-			got := hintstore.QualityDelta{HintsEmitted: q.HintsEmitted, HintsUsed: q.HintsUsed,
+			got := hints.QualityDelta{HintsEmitted: q.HintsEmitted, HintsUsed: q.HintsUsed,
 				HintsUnused: q.HintsUnused, HintsMissed: q.HintsMissed, PushedCount: q.PushedCount,
 				PushedBytes: q.PushedBytes, WastedPushBytes: q.WastedPushBytes}
 			if got != *want {
@@ -282,23 +284,21 @@ func TestAccountantExpiryMatchesFullScan(t *testing.T) {
 	}
 }
 
-// TestAccountingEndToEndConsistency drives a real push-enabled load with
-// the store and accountant attached and cross-checks all three ledgers:
-// the client's per-origin pushed = used + wasted split against its own
-// per-fetch records, and the server's hint-quality ledger against what
-// the wire actually carried.
-func TestAccountingEndToEndConsistency(t *testing.T) {
-	site := webpage.NewSite("acctwire", webpage.Top100, 4242)
-	sn := site.Snapshot(recordTime, webpage.Profile{Device: webpage.PhoneSmall, UserID: 5}, 1)
+// accountedLoad loads site as it was at time at once, staged and
+// push-enabled, from a server whose resolver trained at recordTime and which
+// has a store and an accountant attached, and drains the server so every
+// prediction window is settled. reg carries both sides' metrics.
+func accountedLoad(t *testing.T, site *webpage.Site, at time.Time) (rep *Report, st *hintstore.Store, reg *telemetry.Registry) {
+	t.Helper()
+	sn := site.Snapshot(at, webpage.Profile{Device: webpage.PhoneSmall, UserID: 5}, 1)
 	archive := replay.FromSnapshot(sn)
 	resolver := TrainResolver(site, recordTime, webpage.PhoneSmall)
 	srv := NewServer(archive, resolver, webpage.PhoneSmall, ServerConfig{SendHints: true, Push: true})
-	origin := site.RootURL().Host
 
 	// Register every host in the archive so all settlements — which are
 	// attributed to the hinted URL's own host, not the document's — land in
 	// a resident ledger rather than the metrics-only path.
-	st := hintstore.New(hintstore.Config{TTL: time.Hour, MaxTenants: 64})
+	st = hintstore.New(hintstore.Config{TTL: time.Hour, MaxTenants: 64})
 	hosts := map[string]bool{}
 	for _, rec := range archive.Records {
 		if u, err := rec.ParsedURL(); err == nil && !hosts[u.Host] {
@@ -308,7 +308,7 @@ func TestAccountingEndToEndConsistency(t *testing.T) {
 			}
 		}
 	}
-	reg := telemetry.NewRegistry()
+	reg = telemetry.NewRegistry()
 	srv.Store = st
 	srv.Acct = NewAccountant(AccountingConfig{Store: st, Window: 2 * time.Second})
 	srv.Instrument(nil, reg)
@@ -326,40 +326,55 @@ func TestAccountingEndToEndConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.LoadPage(root)
-	if err != nil {
+	if rep, err = c.LoadPage(root); err != nil {
 		t.Fatal(err)
 	}
 	srv.Drain(time.Second)
+	return rep, st, reg
+}
+
+// TestAccountingEndToEndConsistency drives a real push-enabled load with
+// the store and accountant attached and cross-checks all three ledgers:
+// the client's per-origin pushed = used + wasted split against its own
+// per-fetch records, and the server's hint-quality ledger against what
+// the wire actually carried.
+func TestAccountingEndToEndConsistency(t *testing.T) {
+	site := webpage.NewSite("acctwire", webpage.Top100, 4242)
+	origin := site.RootURL().Host
+	rep, st, reg := accountedLoad(t, site, recordTime)
 
 	// Client side: the authoritative pushed = used + wasted split, origin
-	// by origin, and in total against the per-fetch records.
-	if len(rep.PushQuality) == 0 {
-		t.Fatal("push-enabled load produced no PushQuality entries")
-	}
-	totalPushed, totalUsed, totalWasted := 0, 0, 0
+	// by origin, and in total against the report and the per-fetch records.
+	// A push that lands after the page fetched the URL itself is pushed and
+	// wasted but has no record of its own, so the records may fall short of
+	// the ledger by at most its wasted pushes, and never name a URL twice.
+	var total hints.QualityDelta
 	for _, pq := range rep.PushQuality {
-		if pq.Pushed != pq.Used+pq.Wasted {
-			t.Errorf("%s: pushed %d != used %d + wasted %d", pq.Origin, pq.Pushed, pq.Used, pq.Wasted)
+		if pq.PushedCount != pq.PushUsed+pq.PushWasted {
+			t.Errorf("%s: pushed %d != used %d + wasted %d", pq.Origin, pq.PushedCount, pq.PushUsed, pq.PushWasted)
 		}
-		if pq.WastedBytes > pq.PushedBytes {
-			t.Errorf("%s: wasted bytes %d > pushed bytes %d", pq.Origin, pq.WastedBytes, pq.PushedBytes)
+		if pq.WastedPushBytes > pq.PushedBytes {
+			t.Errorf("%s: wasted bytes %d > pushed bytes %d", pq.Origin, pq.WastedPushBytes, pq.PushedBytes)
 		}
-		totalPushed += pq.Pushed
-		totalUsed += pq.Used
-		totalWasted += pq.Wasted
+		total.Add(pq.QualityDelta)
 	}
 	pushedRecs := 0
+	records := map[string]int{}
 	for _, f := range rep.Fetches {
 		if f.Pushed {
 			pushedRecs++
 		}
+		if records[f.URL]++; records[f.URL] == 2 {
+			t.Errorf("%s has two fetch records", f.URL)
+		}
 	}
-	if totalPushed != rep.Pushed || totalPushed != pushedRecs {
-		t.Errorf("pushed totals disagree: ledger %d, report %d, fetch records %d",
-			totalPushed, rep.Pushed, pushedRecs)
+	if int(total.PushedCount) != rep.Pushed {
+		t.Errorf("pushed totals disagree: ledger %d, report %d", total.PushedCount, rep.Pushed)
 	}
-	if totalUsed == 0 {
+	if late := rep.Pushed - pushedRecs; late < 0 || int64(late) > total.PushWasted {
+		t.Errorf("%d pushes without a fetch record, but only %d wasted", late, total.PushWasted)
+	}
+	if total.PushUsed == 0 {
 		t.Error("no push was ever claimed; staged load should use pushes")
 	}
 
@@ -367,7 +382,7 @@ func TestAccountingEndToEndConsistency(t *testing.T) {
 	// ledger is internally consistent. Emissions are attributed to the
 	// document's origin while settlements go to the hinted URL's host, so
 	// the invariants hold over the sum of all tenants, not per tenant.
-	var agg hintstore.QualitySnapshot
+	var agg hints.QualityDelta
 	for _, q := range st.QualityAll() {
 		agg.HintsEmitted += q.HintsEmitted
 		agg.HintsUsed += q.HintsUsed
@@ -397,15 +412,11 @@ func TestAccountingEndToEndConsistency(t *testing.T) {
 	}
 	// Every push the server accounted arrived at the client, byte for
 	// byte: the two ledgers must agree exactly on this in-memory world.
-	var clientPushedBytes int64
-	for _, pq := range rep.PushQuality {
-		clientPushedBytes += pq.PushedBytes
+	if agg.PushedBytes == 0 || agg.PushedBytes != total.PushedBytes {
+		t.Errorf("push byte ledgers disagree: server %d, client %d", agg.PushedBytes, total.PushedBytes)
 	}
-	if agg.PushedBytes == 0 || agg.PushedBytes != clientPushedBytes {
-		t.Errorf("push byte ledgers disagree: server %d, client %d", agg.PushedBytes, clientPushedBytes)
-	}
-	if int(agg.PushedCount) != totalPushed {
-		t.Errorf("push counts disagree: server %d, client %d", agg.PushedCount, totalPushed)
+	if agg.PushedCount != total.PushedCount {
+		t.Errorf("push counts disagree: server %d, client %d", agg.PushedCount, total.PushedCount)
 	}
 
 	// The quality families made it to the exposition with origin labels.
@@ -421,6 +432,38 @@ func TestAccountingEndToEndConsistency(t *testing.T) {
 			t.Errorf("exposition missing %s", fam)
 		}
 	}
+}
+
+// TestAccountantAgainstClientSettlement scores the server's estimator
+// against the client's truth on the same loads: per origin, the
+// accountant's used, unused and missed counts next to what the client
+// settled with hints.Settle. The pages are loaded hours after the resolver
+// trained, so some hints name resources the page no longer needs. The
+// client prefetches every hint, so every hinted URL is requested (or
+// pushed) and the accountant books it used whether or not the page needed
+// it: its used count can only be high.
+func TestAccountantAgainstClientSettlement(t *testing.T) {
+	var est, truth hints.QualityDelta
+	for seed := int64(1); seed <= 4; seed++ {
+		site := webpage.NewSite(fmt.Sprintf("acctbias%d", seed), webpage.Category(seed%3), 3000+seed)
+		rep, st, _ := accountedLoad(t, site, recordTime.Add(time.Duration(seed)*3*time.Hour))
+		for _, pq := range rep.PushQuality {
+			q := st.QualityOf(pq.Origin)
+			t.Logf("seed %d %-28s used %3d/%3d  unused %3d/%3d  missed %3d/%3d (accountant/client)",
+				seed, pq.Origin, q.HintsUsed, pq.HintsUsed, q.HintsUnused, pq.HintsUnused, q.HintsMissed, pq.HintsMissed)
+			est.Add(hints.QualityDelta{HintsUsed: q.HintsUsed, HintsUnused: q.HintsUnused, HintsMissed: q.HintsMissed})
+			truth.Add(hints.QualityDelta{HintsUsed: pq.HintsUsed, HintsUnused: pq.HintsUnused, HintsMissed: pq.HintsMissed})
+		}
+	}
+	if truth.HintsUsed == 0 {
+		t.Fatal("the client settled no used hint")
+	}
+	if est.HintsUsed < truth.HintsUsed {
+		t.Errorf("accountant booked %d used hints, fewer than the client's %d", est.HintsUsed, truth.HintsUsed)
+	}
+	t.Logf("used %d vs %d (+%d), unused %d vs %d, missed %d vs %d; precision %.3f vs %.3f, recall %.3f vs %.3f",
+		est.HintsUsed, truth.HintsUsed, est.HintsUsed-truth.HintsUsed, est.HintsUnused, truth.HintsUnused,
+		est.HintsMissed, truth.HintsMissed, est.Precision(), truth.Precision(), est.Recall(), truth.Recall())
 }
 
 // TestAccountingDisabledZeroAlloc pins the disabled-path contract: a nil

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -68,37 +68,13 @@ type FetchRecord struct {
 // Failed reports whether this fetch ended in an error.
 func (f *FetchRecord) Failed() bool { return f.ErrKind != FetchOK }
 
-// PushQuality is one origin's push outcomes as the client saw them. This
-// is the authoritative pushed = used + wasted split: a used push is
-// claimed from the push cache and never re-crosses the wire, so only the
-// client can tell a hit from pure waste (the server sees just the
-// redundant subset — pushes the client fetched anyway).
+// PushQuality is one origin's outcomes as the client settled them with
+// hints.Settle. Its push half is the authoritative pushed = used + wasted
+// split: a used push never re-crosses the wire, so only the client can
+// tell a hit from pure waste.
 type PushQuality struct {
-	// Origin is the pushed resource's host.
 	Origin string
-	// Pushed counts push promises whose response arrived; always equal to
-	// Used + Wasted once the load finishes.
-	Pushed int
-	// Used counts pushes a fetch claimed from the push cache.
-	Used int
-	// Wasted counts pushes the page never referenced.
-	Wasted int
-	// PushedBytes and WastedBytes are the corresponding body byte totals.
-	PushedBytes int64
-	WastedBytes int64
-	// LeadMsSum sums, over used pushes, how long the pushed response sat in
-	// the cache before a fetch needed it (milliseconds); LeadCount is the
-	// number of observations. Lead time is the head start push bought.
-	LeadMsSum float64
-	LeadCount int
-}
-
-// MeanLeadMs returns the mean push lead time, 0 with no observations.
-func (p *PushQuality) MeanLeadMs() float64 {
-	if p.LeadCount == 0 {
-		return 0
-	}
-	return p.LeadMsSum / float64(p.LeadCount)
+	hints.QualityDelta
 }
 
 // Report summarizes a wire page load.
@@ -107,8 +83,10 @@ type Report struct {
 	Started  time.Time
 	Finished time.Time
 	Fetches  []FetchRecord
-	Pushed   int
-	Bytes    int64
+	// Pushed counts the pushes that arrived. One the page never asked for
+	// gets a fetch record; one that landed after the page fetched it, none.
+	Pushed int
+	Bytes  int64
 
 	// Failed counts fetches that ended in an error; Retries totals retry
 	// attempts across the load; DeadlineHit marks a load cut short by
@@ -119,8 +97,8 @@ type Report struct {
 	// Degraded counts completed fetches the server tagged as degraded
 	// (stale or shed hints, shed push).
 	Degraded int
-	// PushQuality breaks push outcomes down per origin, sorted by origin.
-	// Empty when the server pushed nothing.
+	// PushQuality breaks the settled outcomes down per origin, sorted by
+	// origin; an origin with nothing to settle has no entry.
 	PushQuality []PushQuality
 }
 
@@ -226,21 +204,17 @@ type Client struct {
 	// costs nothing.
 	Metrics *telemetry.Registry
 
-	mu          sync.Mutex
-	origins     map[string]*originState
-	seen        map[string]bool
+	mu      sync.Mutex
+	origins map[string]*originState
+	// seen holds what the load learned about every URL it touched, settled
+	// by hints.Settle at load end.
+	seen        map[string]urlFacts
 	inflight    map[string]*inflightFetch
 	retriesUsed int
 	// gate holds back Semi and Low fetches under Staged (unused otherwise).
 	gate        core.Stages[urlutil.URL]
 	pushedResp  map[string]*h2.Response
 	pushWaiters map[string][]chan *h2.Response
-	// Push-quality ledger: when each pushed response arrived (for lead
-	// times), which URLs were already claimed (so a re-claim can't break
-	// the pushed = used + wasted invariant), and the per-origin rollup.
-	pushArrival map[string]time.Time
-	pushClaimed map[string]bool
-	pushQual    map[string]*PushQuality
 	report      *Report
 	doneCh      chan struct{}
 	cancel      chan struct{}
@@ -275,6 +249,18 @@ type originState struct {
 	mReqs    *telemetry.Counter
 	mBreaker *telemetry.Gauge
 	mConns   *telemetry.Gauge
+}
+
+// urlFacts is what one load learned about a URL.
+type urlFacts struct {
+	host               string
+	doc                bool
+	queued             bool          // a fetch was queued, or a redirect reached it
+	hinted             bool          // a hint header named it
+	needed             bool          // a body reference named it (the root counts)
+	pushed             bool          // its push arrived
+	claimed            bool          // a fetch's response came from that push
+	neededAt, pushedAt time.Duration // first need and push arrival, from load start
 }
 
 type inflightFetch struct {
@@ -386,13 +372,10 @@ func (c *Client) LoadPage(root urlutil.URL) (*Report, error) {
 		return nil, fmt.Errorf("wire: Client.Dial not set")
 	}
 	c.origins = make(map[string]*originState)
-	c.seen = make(map[string]bool)
+	c.seen = make(map[string]urlFacts)
 	c.inflight = make(map[string]*inflightFetch)
 	c.pushedResp = make(map[string]*h2.Response)
 	c.pushWaiters = make(map[string][]chan *h2.Response)
-	c.pushArrival = make(map[string]time.Time)
-	c.pushClaimed = make(map[string]bool)
-	c.pushQual = make(map[string]*PushQuality)
 	c.gate = core.Stages[urlutil.URL]{}
 	c.report = &Report{Root: root.String(), Started: time.Now()}
 	c.doneCh = make(chan struct{})
@@ -412,7 +395,7 @@ func (c *Client) LoadPage(root urlutil.URL) (*Report, error) {
 	}
 
 	c.mu.Lock()
-	c.enqueue(root, hints.High)
+	c.enqueue(root, hints.High, false)
 	c.mu.Unlock()
 
 	timer := time.NewTimer(c.loadDeadline())
@@ -453,36 +436,7 @@ func (c *Client) LoadPage(root urlutil.URL) (*Report, error) {
 		}
 	}
 	c.report.Finished = time.Now()
-	// Pushes the page never referenced are wasted bandwidth; record them.
-	for key, resp := range c.pushedResp {
-		if c.seen[key] {
-			continue
-		}
-		c.report.Fetches = append(c.report.Fetches, FetchRecord{
-			URL: key, Priority: hints.Low, Pushed: true, Status: resp.Status,
-			Bytes: len(resp.Body), Start: c.report.Finished, Done: c.report.Finished,
-		})
-		c.report.Bytes += int64(len(resp.Body))
-		c.report.Pushed++
-		c.lt.pushUnclaimed.Inc()
-	}
-	// Settle the push ledger: every pushed URL no fetch claimed is waste
-	// (the page may have "seen" it without ever reaching the cache — e.g. a
-	// fetch the deadline killed — so waste keys off claims, not seen).
-	for key, resp := range c.pushedResp {
-		if c.pushClaimed[key] {
-			continue
-		}
-		pq := c.pushQualLocked(resp.Request.Authority)
-		pq.Wasted++
-		pq.WastedBytes += int64(len(resp.Body))
-	}
-	for _, pq := range c.pushQual {
-		c.report.PushQuality = append(c.report.PushQuality, *pq)
-	}
-	sort.Slice(c.report.PushQuality, func(i, j int) bool {
-		return c.report.PushQuality[i].Origin < c.report.PushQuality[j].Origin
-	})
+	c.settleLocked()
 	conns := make([]OriginConn, 0, len(c.origins))
 	for _, os := range c.origins {
 		if os.conn != nil {
@@ -507,12 +461,75 @@ func (c *Client) LoadPage(root urlutil.URL) (*Report, error) {
 	return report, nil
 }
 
-// enqueue schedules a fetch: at once, or under Staged when the gate says
-// so. A URL the gate still holds is handed to it again, so one the page now
-// needs at a more urgent class moves up. Caller holds c.mu.
-func (c *Client) enqueue(u urlutil.URL, prio hints.Priority) {
+// settleLocked scores every URL the load touched with hints.Settle, and
+// fills Report.Pushed, Report.PushQuality and the records of pushes the
+// page never asked for from that one result. Caller holds c.mu.
+func (c *Client) settleLocked() {
+	rep := c.report
+	// A load's outcomes span about the origins it dialed.
+	byHost := make(map[string]int, len(c.origins))
+	rep.PushQuality = make([]PushQuality, 0, len(c.origins))
+	for key, f := range c.seen {
+		o := hints.Outcome{Host: f.host, Hinted: f.hinted, Required: f.needed, Doc: f.doc,
+			Pushed: f.pushed, Claimed: f.claimed, NeededAt: f.neededAt, ArrivedAt: f.pushedAt}
+		resp := c.pushedResp[key]
+		if f.pushed {
+			o.Bytes = int64(len(resp.Body))
+		}
+		d := hints.Settle(o)
+		if d == (hints.QualityDelta{}) {
+			continue
+		}
+		rep.Pushed += int(d.PushedCount)
+		c.lt.pushClaimed.Add(d.PushUsed)
+		c.lt.pushUnclaimed.Add(d.PushWasted)
+		if d.PushLeads > 0 {
+			c.lt.pushLeadMs.Observe(d.PushLeadMs)
+		}
+		if d.PushWasted > 0 && !f.queued {
+			rep.Fetches = append(rep.Fetches, FetchRecord{
+				URL: key, Priority: hints.Low, Pushed: true, Status: resp.Status,
+				Bytes: len(resp.Body), Start: rep.Finished, Done: rep.Finished,
+			})
+			rep.Bytes += o.Bytes
+		}
+		i, ok := byHost[f.host]
+		if !ok {
+			i = len(rep.PushQuality)
+			byHost[f.host] = i
+			rep.PushQuality = append(rep.PushQuality, PushQuality{Origin: f.host})
+		}
+		rep.PushQuality[i].Add(d)
+	}
+	slices.SortFunc(rep.PushQuality, func(a, b PushQuality) int { return strings.Compare(a.Origin, b.Origin) })
+}
+
+// facts returns key's facts (new ones for u) for the caller to update and
+// store back. Caller holds c.mu.
+func (c *Client) facts(u urlutil.URL, key string) urlFacts {
+	f, ok := c.seen[key]
+	if !ok {
+		f = urlFacts{host: u.Host, doc: webpage.TypeFromURL(u) == webpage.HTML}
+	}
+	return f
+}
+
+// enqueue schedules a fetch of a URL a hint header or a body reference
+// named: at once, or under Staged when the gate says so. A URL the gate
+// still holds is handed to it again, so one the page now needs at a more
+// urgent class moves up. Caller holds c.mu.
+func (c *Client) enqueue(u urlutil.URL, prio hints.Priority, hinted bool) {
 	key := u.String()
-	if c.seen[key] {
+	f := c.facts(u, key)
+	if hinted {
+		f.hinted = true
+	} else if !f.needed {
+		f.needed, f.neededAt = true, time.Since(c.report.Started)
+	}
+	queued := f.queued
+	f.queued = true
+	c.seen[key] = f
+	if queued {
 		if !c.Staged {
 			return
 		}
@@ -520,7 +537,6 @@ func (c *Client) enqueue(u urlutil.URL, prio hints.Priority) {
 			return
 		}
 	}
-	c.seen[key] = true
 	if !c.Staged || c.gate.Want(u, prio) {
 		c.issue(u, prio)
 	}
@@ -584,8 +600,9 @@ func (c *Client) fetch(u urlutil.URL, prio hints.Priority) {
 	// Discover referenced resources and hints before re-locking; relative
 	// references resolve against the post-redirect URL.
 	var discovered []hints.Hint
+	var nHinted int
 	if out.err == nil && resp.Status == 200 {
-		discovered = c.analyze(out.finalURL, resp)
+		discovered, nHinted = c.analyze(out.finalURL, resp)
 	}
 
 	c.mu.Lock()
@@ -601,14 +618,17 @@ func (c *Client) fetch(u urlutil.URL, prio hints.Priority) {
 	if rec.Failed() {
 		c.report.Failed++
 	}
-	if rec.Pushed {
-		c.report.Pushed++
-	}
 	if rec.Degraded != "" {
 		c.report.Degraded++
 	}
-	for _, h := range discovered {
-		c.enqueue(h.URL, h.Priority)
+	if rec.Pushed {
+		// The response came from the push cache: the push is claimed.
+		f := c.seen[rec.FinalURL]
+		f.claimed = true
+		c.seen[rec.FinalURL] = f
+	}
+	for i, h := range discovered {
+		c.enqueue(h.URL, h.Priority, i < nHinted)
 	}
 	if c.Staged {
 		if key == c.report.Root {
@@ -636,9 +656,11 @@ func (c *Client) maybeFinish() {
 	close(c.doneCh)
 }
 
-// analyze extracts hints and body references from a response.
-func (c *Client) analyze(u urlutil.URL, resp *h2.Response) []hints.Hint {
-	jobs := hints.Parse(resp.Header)
+// analyze extracts hints and body references from a response; the first
+// hinted of them came from hint headers.
+func (c *Client) analyze(u urlutil.URL, resp *h2.Response) (jobs []hints.Hint, hinted int) {
+	jobs = hints.Parse(resp.Header)
+	hinted = len(jobs)
 	typ := webpage.TypeFromURL(u)
 	if typ.NeedsProcessing() {
 		res := &webpage.Resource{URL: u, Type: typ, Body: string(resp.Body)}
@@ -646,7 +668,7 @@ func (c *Client) analyze(u urlutil.URL, resp *h2.Response) []hints.Hint {
 			jobs = append(jobs, hints.Hint{URL: d.URL, Priority: d.Priority()})
 		}
 	}
-	return jobs
+	return jobs, hinted
 }
 
 // doFetch fetches one URL, following redirects up to the hop cap.
@@ -684,8 +706,11 @@ func (c *Client) doFetch(u urlutil.URL, fl *inflightFetch) (*h2.Response, fetchO
 		}
 		hops++
 		c.mu.Lock()
-		already := c.seen[next.String()]
-		c.seen[next.String()] = true
+		nextKey := next.String()
+		f := c.facts(next, nextKey)
+		already := f.queued
+		f.queued = true
+		c.seen[nextKey] = f
 		c.mu.Unlock()
 		if already {
 			// Another fetch owns (or owned) the target; this record just
@@ -829,9 +854,7 @@ func (c *Client) attempt(u urlutil.URL, fl *inflightFetch) (*h2.Response, error)
 	origin := u.Origin()
 	c.mu.Lock()
 	if resp, ok := c.pushedResp[key]; ok {
-		c.notePushClaimLocked(u.Host, key)
 		c.mu.Unlock()
-		c.lt.pushClaimed.Inc()
 		return resp, nil
 	}
 	os := c.originState(origin)
@@ -858,10 +881,6 @@ func (c *Client) attempt(u urlutil.URL, fl *inflightFetch) (*h2.Response, error)
 		select {
 		case resp := <-ch:
 			wait.Stop()
-			c.mu.Lock()
-			c.notePushClaimLocked(u.Host, key)
-			c.mu.Unlock()
-			c.lt.pushClaimed.Inc()
 			return resp, nil
 		case <-wait.C:
 			c.dropPushWaiter(key, ch)
@@ -914,36 +933,6 @@ func (c *Client) dropPushWaiter(key string, ch chan *h2.Response) {
 func (c *Client) cv() *clientVecs {
 	c.vecsOnce.Do(func() { c.vecs = newClientVecs(c.Metrics) })
 	return &c.vecs
-}
-
-// pushQualLocked returns (creating) one origin's push ledger. Caller
-// holds c.mu.
-func (c *Client) pushQualLocked(host string) *PushQuality {
-	pq := c.pushQual[host]
-	if pq == nil {
-		pq = &PushQuality{Origin: host}
-		c.pushQual[host] = pq
-	}
-	return pq
-}
-
-// notePushClaimLocked credits a push-cache hit to the origin's push
-// ledger: the push was used, and its lead time is how long the response
-// sat in the cache before this fetch needed it. Idempotent per URL so a
-// re-claim cannot break pushed = used + wasted. Caller holds c.mu.
-func (c *Client) notePushClaimLocked(host, key string) {
-	if c.pushClaimed[key] {
-		return
-	}
-	c.pushClaimed[key] = true
-	pq := c.pushQualLocked(host)
-	pq.Used++
-	if at, ok := c.pushArrival[key]; ok {
-		ms := float64(time.Since(at)) / float64(time.Millisecond)
-		pq.LeadMsSum += ms
-		pq.LeadCount++
-		c.lt.pushLeadMs.Observe(ms)
-	}
 }
 
 // originState returns (creating if needed) an origin's lifecycle state.
@@ -1198,7 +1187,7 @@ func retryableErr(err error) bool {
 
 // onPush stores pushed responses in the push cache and satisfies waiters.
 // Pushed bodies are analyzed only when the page references them (through
-// doFetch); pushes the page never needs are recorded as waste at load end.
+// doFetch); pushes no fetch claims settle as waste at load end.
 func (c *Client) onPush(host string, resp *h2.Response) {
 	if resp.Request == nil {
 		return
@@ -1210,13 +1199,9 @@ func (c *Client) onPush(host string, resp *h2.Response) {
 		c.Trace.Instant(obs.TrackLoad, "push-received", obs.Arg{Key: "url", Val: key})
 	}
 	c.mu.Lock()
-	if _, dup := c.pushedResp[key]; !dup {
-		// Count each pushed URL once even if the server ever re-pushes it,
-		// so Pushed stays exactly Used + Wasted.
-		c.pushArrival[key] = time.Now()
-		pq := c.pushQualLocked(u.Host)
-		pq.Pushed++
-		pq.PushedBytes += int64(len(resp.Body))
+	if f := c.facts(u, key); !f.pushed {
+		f.pushed, f.pushedAt = true, time.Since(c.report.Started)
+		c.seen[key] = f
 	}
 	c.pushedResp[key] = resp
 	waiters := c.pushWaiters[key]

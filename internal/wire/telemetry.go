@@ -68,8 +68,8 @@ func describeClientMetrics(reg *telemetry.Registry) {
 	reg.Describe(mRedirects, "Redirect hops followed per origin.")
 	reg.Describe(mFetchMs, "Whole-fetch latency in milliseconds by outcome.")
 	reg.Describe(mPhaseMs, "Fetch phase latency in milliseconds (dial, headers, body, exchange).")
-	reg.Describe(mPush, "Server pushes by fate: received on the wire, claimed by a fetch, unclaimed at load end.")
-	reg.Describe(mPushLeadMs, "How long claimed pushes sat in the push cache before a fetch needed them, in milliseconds.")
+	reg.Describe(mPush, "Server pushes by fate: received on the wire, then settled at load end as claimed by a fetch or unclaimed.")
+	reg.Describe(mPushLeadMs, "How far ahead of the page's first need a claimed push arrived, in milliseconds.")
 	reg.Describe(mBreakTrips, "Circuit-breaker trips per origin.")
 	reg.Describe(mBreakOpen, "Whether an origin's circuit breaker is currently open.")
 	reg.Describe(mActiveConn, "Live transport connections per origin and protocol.")
