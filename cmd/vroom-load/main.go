@@ -135,7 +135,7 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 	res := loadgen.Run(loadgen.Config{
-		Root:         root,
+		Roots:        []urlutil.URL{root},
 		Loads:        *loads,
 		Concurrency:  *concurrency,
 		Seed:         *seed,
@@ -281,7 +281,7 @@ func exportTrace(path, scrape string, propagate bool, storm *obs.LiveRecording) 
 		}
 		merged = obs.Merge(merged, obs.PrefixTracks(srvRec, "srv:"))
 		if propagate {
-			n := crossProcessJoins(merged)
+			n := obs.FlowJoinCount(merged, "srv:")
 			if n == 0 {
 				return fmt.Errorf("no fetch flow joined client and server spans")
 			}
@@ -322,41 +322,6 @@ func scrapeTrace(url string) (*obs.Recording, error) {
 		return nil, fmt.Errorf("scrape %s: status %d", url, resp.StatusCode)
 	}
 	return obs.ReadEvents(resp.Body)
-}
-
-// crossProcessJoins counts distinct flow IDs seen on Begin events both on a
-// server-side ("srv:"-prefixed) track and a client-side one — fetches whose
-// propagated context the server demonstrably adopted. (obs.FlowJoinCount is
-// looser: client-internal track crossings also count there.)
-func crossProcessJoins(rec *obs.Recording) int {
-	type sides struct{ client, server bool }
-	flows := make(map[string]*sides)
-	for _, ev := range rec.Events {
-		if ev.Kind != obs.KindBegin {
-			continue
-		}
-		flow := ev.Arg(obs.ArgFlow)
-		if flow == "" {
-			continue
-		}
-		s := flows[flow]
-		if s == nil {
-			s = &sides{}
-			flows[flow] = s
-		}
-		if strings.HasPrefix(ev.Track, "srv:") {
-			s.server = true
-		} else {
-			s.client = true
-		}
-	}
-	n := 0
-	for _, s := range flows {
-		if s.client && s.server {
-			n++
-		}
-	}
-	return n
 }
 
 // serverStats distills a final /metrics scrape into the serving-side

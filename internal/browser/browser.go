@@ -169,15 +169,11 @@ type paintEvent struct {
 
 // Config parameterizes the engine.
 type Config struct {
-	// Costs is the CPU cost model; zero value means MobileCosts.
-	Costs Costs
 	// CPUScale divides all CPU costs (1.0 = Nexus-6-class phone; larger
 	// is faster). Zero means 1.0.
 	CPUScale float64
 	// Cache is the warm browser cache; nil means cold.
 	Cache *Cache
-	// CacheHitDelay is the local lookup latency for a fresh cache entry.
-	CacheHitDelay time.Duration
 	// NoProcessing zeroes all CPU costs (the network-bottleneck lower
 	// bound of §2: resources fetched but not evaluated).
 	NoProcessing bool
@@ -240,13 +236,6 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 		d = p.MaxBackoff
 	}
 	return d
-}
-
-func (c Config) costs() Costs {
-	if c.Costs == (Costs{}) {
-		return MobileCosts()
-	}
-	return c.Costs
 }
 
 func (c Config) scale() float64 {
@@ -370,14 +359,10 @@ func (l *Load) FetchNow(e *Entry) {
 	e.attempts = 0
 	if l.Cfg.Cache != nil {
 		if res, ok := l.Cfg.Cache.Get(e.URL.String(), l.Eng.Now()); ok {
-			delay := l.Cfg.CacheHitDelay
-			if delay <= 0 {
-				delay = time.Millisecond
-			}
 			if l.Cfg.Trace.Enabled() {
 				l.Cfg.Trace.Instant(obs.TrackLoad, "cache-hit:"+e.URL.String())
 			}
-			l.Eng.ScheduleAfter(delay, "cache-hit", func() {
+			l.Eng.ScheduleAfter(cacheHitDelay, "cache-hit", func() {
 				l.deliver(e, &Fetched{URL: e.URL, Res: res, Size: 0})
 			})
 			return
@@ -660,7 +645,7 @@ func (l *Load) checkFinished() {
 		return
 	}
 	l.finalizeQueued = true
-	l.runTask(l.cost(l.Cfg.costs().Finalize), "finalize", func() {
+	l.runTask(l.cost(MobileCosts().Finalize), "finalize", func() {
 		l.finalizeQueued = false
 		if l.outstandingRequired > 0 {
 			return // finalize raced with a late discovery; it will re-run

@@ -156,7 +156,7 @@ func TestSyncScriptBlocksCriticalPath(t *testing.T) {
 func TestCacheHitsSkipNetwork(t *testing.T) {
 	cache := NewCache()
 	l1, ft1 := loadSite(t, Config{Cache: cache}, nil, 40*time.Millisecond)
-	if cache.Len() == 0 {
+	if len(cache.entries) == 0 {
 		t.Fatal("nothing cached after first load")
 	}
 	_ = l1

@@ -14,6 +14,9 @@ type Cache struct {
 	entries map[string]cacheEntry
 }
 
+// cacheHitDelay is the local lookup latency for a fresh cache entry.
+const cacheHitDelay = time.Millisecond
+
 type cacheEntry struct {
 	res     *webpage.Resource
 	expires time.Time
@@ -54,7 +57,3 @@ func (c *Cache) Put(url string, res *webpage.Resource, now time.Time) {
 	}
 	c.entries[url] = cacheEntry{res: res, expires: now.Add(res.TTL)}
 }
-
-// Len returns the number of cached entries (including expired ones not yet
-// evicted).
-func (c *Cache) Len() int { return len(c.entries) }

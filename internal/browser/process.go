@@ -27,7 +27,7 @@ func (l *Load) beginProcessing(e *Entry) {
 	case webpage.JS:
 		l.processJS(e)
 	default:
-		c := l.Cfg.costs()
+		c := MobileCosts()
 		l.runTask(l.cost(c.For(e.Res.Type, e.Res.Size)), e.Res.Type.String(), func() { l.onEntryDone(e) })
 	}
 }
@@ -82,7 +82,7 @@ func (l *Load) processDocument(e *Entry) {
 	}
 
 	// Build the parse/execute step sequence.
-	c := l.Cfg.costs()
+	c := MobileCosts()
 	total := l.cost(c.For(webpage.HTML, e.Res.Size))
 	bodyLen := len(e.Res.Body)
 	if bodyLen == 0 {
@@ -176,7 +176,7 @@ func (l *Load) advanceDoc(doc *docState) {
 		return
 	}
 	doc.running = true
-	c := l.Cfg.costs()
+	c := MobileCosts()
 	gate := step.cssGate
 	l.runTask(l.cost(c.For(webpage.JS, e.Res.Size)), "exec-sync-js", func() {
 		blocking := l.discoverScriptChildren(e, true)
@@ -223,7 +223,7 @@ func (l *Load) processJS(e *Entry) {
 		e.processingStarted = false
 		return
 	}
-	c := l.Cfg.costs()
+	c := MobileCosts()
 	l.runTask(l.cost(c.For(webpage.JS, e.Res.Size)), "exec-js", func() {
 		l.discoverScriptChildren(e, false)
 		l.onEntryDone(e)
@@ -263,7 +263,7 @@ func (l *Load) discoverScriptChildren(e *Entry, viaDocPump bool) []*Entry {
 // The stylesheet counts as applied — unblocking scripts gated on it — only
 // once its @import chain is processed too, as in real CSSOM construction.
 func (l *Load) processCSS(e *Entry) {
-	c := l.Cfg.costs()
+	c := MobileCosts()
 	l.runTask(l.cost(c.For(webpage.CSS, e.Res.Size)), "parse-css", func() {
 		defer l.setVia(e)()
 		var imports []*Entry

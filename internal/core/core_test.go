@@ -175,40 +175,6 @@ func TestSingleLoadIncludesStaleVolatile(t *testing.T) {
 	}
 }
 
-func TestMaxHintAgeBoundsStaleness(t *testing.T) {
-	site := newsSite(11)
-	sn := site.Snapshot(trainTime, webpage.Profile{Device: webpage.PhoneSmall, UserID: 9}, 1)
-	train := func(maxAge time.Duration) map[string]hints.Priority {
-		cfg := DefaultResolverConfig()
-		cfg.UseOnline = false
-		cfg.MaxHintAge = maxAge
-		r := NewResolver(cfg)
-		r.Train(site, trainTime, webpage.PhoneSmall)
-		return hintURLs(r.HintsFor(sn.Root, "", webpage.PhoneSmall))
-	}
-
-	unbounded := train(0)
-	if len(unbounded) == 0 {
-		t.Fatal("degenerate test: no offline hints at all")
-	}
-	// A bound tighter than the crawl interval excludes every offline
-	// snapshot: the resolver must return no hints rather than stale ones.
-	if got := train(30 * time.Minute); len(got) != 0 {
-		t.Errorf("bound below the crawl interval still produced %d hints", len(got))
-	}
-	// A bound that keeps only the freshest snapshot intersects fewer
-	// loads, so its hint set can only grow relative to the full window.
-	oneLoad := train(90 * time.Minute)
-	for u := range unbounded {
-		if _, ok := oneLoad[u]; !ok {
-			t.Errorf("tightening the age bound dropped stable hint %s", u)
-		}
-	}
-	if len(oneLoad) < len(unbounded) {
-		t.Errorf("one-load set (%d) smaller than three-load intersection (%d)", len(oneLoad), len(unbounded))
-	}
-}
-
 func TestIntersection(t *testing.T) {
 	mkDep := func(p string) Dep {
 		return Dep{URL: urlutil.MustParse("https://a.com" + p)}

@@ -43,11 +43,6 @@ type ResolverConfig struct {
 	// ablation showing why Vroom excludes them (the server's crawler sees
 	// differently personalized iframe content than the client will).
 	IncludeIframeDescendants bool
-	// MaxHintAge drops offline snapshots older than this bound from the
-	// stable-set computation, extending the intersection-of-last-3-loads
-	// rule: a snapshot too old to trust contributes no hints, so hint
-	// staleness is bounded. Zero keeps every OfflineLoads snapshot.
-	MaxHintAge time.Duration
 }
 
 // DefaultResolverConfig is the full Vroom configuration.
@@ -119,11 +114,7 @@ func (r *Resolver) Train(site *webpage.Site, now time.Time, device webpage.Devic
 	}
 	perDoc := make(map[string]*docLoads)
 	for i := 0; i < loads; i++ {
-		age := time.Duration(i+1) * r.cfg.Interval
-		if r.cfg.MaxHintAge > 0 && age > r.cfg.MaxHintAge {
-			continue // snapshot exceeds the staleness bound
-		}
-		at := now.Add(-age)
+		at := now.Add(-time.Duration(i+1) * r.cfg.Interval)
 		nonce := uint64(at.UnixNano()) ^ uint64(device+1)<<32
 		sn := site.Snapshot(at, profile, nonce)
 		for _, res := range sn.Ordered() {

@@ -50,10 +50,10 @@ func TestStagedSchedulerHoldsLowUntilHighDone(t *testing.T) {
 	// Hint a high and a low resource immediately (as if from headers).
 	var high, low urlutil.URL
 	for _, r := range sn.Ordered() {
-		if high.IsZero() && r.Type == webpage.JS && !r.Async && !r.InIframe {
+		if high == (urlutil.URL{}) && r.Type == webpage.JS && !r.Async && !r.InIframe {
 			high = r.URL
 		}
-		if low.IsZero() && r.Type == webpage.Image {
+		if low == (urlutil.URL{}) && r.Type == webpage.Image {
 			low = r.URL
 		}
 	}
@@ -165,14 +165,14 @@ func TestStagedSchedulerUpgradesQueuedPriority(t *testing.T) {
 		if r.Type != webpage.Image {
 			continue
 		}
-		if imgA.IsZero() {
+		if imgA == (urlutil.URL{}) {
 			imgA = r.URL
-		} else if imgB.IsZero() {
+		} else if imgB == (urlutil.URL{}) {
 			imgB = r.URL
 			break
 		}
 	}
-	if imgB.IsZero() {
+	if imgB == (urlutil.URL{}) {
 		t.Skip("snapshot has fewer than two images")
 	}
 	l.Hint(hints.Hint{URL: imgA, Priority: hints.Low})

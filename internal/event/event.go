@@ -11,8 +11,6 @@ import (
 	"container/heap"
 	"fmt"
 	"time"
-
-	"vroom/internal/clock"
 )
 
 // Event is a scheduled callback. It is returned by Engine.Schedule and can be
@@ -23,55 +21,34 @@ type Event struct {
 	fn     func()
 	index  int // heap index, -1 once removed
 	cancel bool
-	name   string
 }
-
-// At returns the time at which the event is scheduled to fire.
-func (e *Event) At() time.Time { return e.at }
-
-// Name returns the debug name given at scheduling time.
-func (e *Event) Name() string { return e.name }
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancel }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with New.
 type Engine struct {
-	clock *clock.Virtual
+	now   time.Time
 	queue eventQueue
 	seq   uint64
-	// Fired counts events that have been executed (not cancelled).
-	fired uint64
 }
 
 // New returns an engine whose virtual clock starts at start.
 func New(start time.Time) *Engine {
-	return &Engine{clock: clock.NewVirtual(start)}
+	return &Engine{now: start}
 }
 
 // Now returns the current simulation time.
-func (e *Engine) Now() time.Time { return e.clock.Now() }
-
-// Clock exposes the engine's virtual clock.
-func (e *Engine) Clock() *clock.Virtual { return e.clock }
-
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of events still scheduled (including events that
-// were cancelled but not yet drained).
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Now() time.Time { return e.now }
 
 // Schedule registers fn to run at absolute time at. Scheduling in the past is
 // an error in the simulation logic; the event is clamped to the current time
-// so that it fires next, preserving progress.
+// so that it fires next, preserving progress. name labels the event at its
+// call site; the engine does not keep it.
 func (e *Engine) Schedule(at time.Time, name string, fn func()) *Event {
-	if now := e.clock.Now(); at.Before(now) {
-		at = now
+	if at.Before(e.now) {
+		at = e.now
 	}
 	e.seq++
-	ev := &Event{at: at, seq: e.seq, fn: fn, name: name}
+	ev := &Event{at: at, seq: e.seq, fn: fn}
 	heap.Push(&e.queue, ev)
 	return ev
 }
@@ -81,7 +58,7 @@ func (e *Engine) ScheduleAfter(d time.Duration, name string, fn func()) *Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.Schedule(e.clock.Now().Add(d), name, fn)
+	return e.Schedule(e.now.Add(d), name, fn)
 }
 
 // Cancel prevents ev from firing. Cancelling an already-fired or
@@ -105,8 +82,7 @@ func (e *Engine) Step() bool {
 		if ev.cancel {
 			continue
 		}
-		e.clock.Set(ev.at)
-		e.fired++
+		e.advance(ev.at)
 		ev.fn()
 		return true
 	}
@@ -145,7 +121,15 @@ func (e *Engine) RunUntil(t time.Time) {
 		}
 		e.Step()
 	}
-	e.clock.Set(t)
+	e.advance(t)
+}
+
+// advance moves the clock to t unless t is in the past: the clock never runs
+// backwards.
+func (e *Engine) advance(t time.Time) {
+	if t.After(e.now) {
+		e.now = t
+	}
 }
 
 // eventQueue is a min-heap ordered by (at, seq).

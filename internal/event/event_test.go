@@ -52,9 +52,9 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
+	// Cancelling again, or after the run, stays a no-op.
+	eng.Cancel(ev)
+	eng.Cancel(nil)
 }
 
 func TestNestedScheduling(t *testing.T) {
@@ -115,7 +115,12 @@ func TestRunUntil(t *testing.T) {
 	if eng.Now() != start.Add(time.Minute) {
 		t.Fatalf("clock at %v", eng.Now())
 	}
-	if eng.Pending() != 1 {
-		t.Fatalf("pending %d", eng.Pending())
+	// Running until an earlier time never moves the clock backwards.
+	eng.RunUntil(start)
+	if eng.Now() != start.Add(time.Minute) {
+		t.Fatalf("clock moved back to %v", eng.Now())
+	}
+	if _, err := eng.Run(0); err != nil || fired != 2 {
+		t.Fatalf("the later event did not stay pending: fired %d, err %v", fired, err)
 	}
 }

@@ -230,14 +230,6 @@ func New(seed int64, cfg Config) *Plan {
 	}
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
-}
-
 // ExemptURL shields a URL from response and hint faults. The runner exempts
 // the root document so every load has content to degrade around.
 func (p *Plan) ExemptURL(u urlutil.URL) {

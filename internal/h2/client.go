@@ -159,14 +159,6 @@ func (cc *ClientConn) Close() error {
 	return nil
 }
 
-// Err returns the terminal read-loop error, or nil while the connection is
-// alive. The wire client consults it to skip round trips on dead conns.
-func (cc *ClientConn) Err() error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.readErr
-}
-
 // RoundTrip issues a request and waits for the complete response.
 func (cc *ClientConn) RoundTrip(req *Request) (*Response, error) {
 	return cc.RoundTripTimeout(req, 0, 0)

@@ -74,11 +74,10 @@ type stream struct {
 	sendWindow int64
 
 	// receive accumulation.
-	headers   []HeaderField
-	body      []byte
-	endStream bool
-	rstCode   ErrCode
-	rst       bool
+	headers []HeaderField
+	body    []byte
+	rstCode ErrCode
+	rst     bool
 
 	// done closes when the peer half-closes or resets the stream.
 	done chan struct{}

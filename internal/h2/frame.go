@@ -68,12 +68,12 @@ const (
 	FlagEndStream  = 0x1
 	FlagEndHeaders = 0x4
 	FlagAck        = 0x1 // SETTINGS and PING
-	FlagPadded     = 0x8
 )
 
 // maxFrameSize is the protocol's initial SETTINGS_MAX_FRAME_SIZE (RFC 7540
 // §6.5.2): the value both directions start at until a SETTINGS frame moves
-// it, and the floor a peer may never advertise below.
+// it, and the floor a peer may never advertise below. This end never
+// advertises another value, so it is also the incoming-frame limit.
 const maxFrameSize = 16384
 
 // absMaxFrameSize is the protocol ceiling for SETTINGS_MAX_FRAME_SIZE
@@ -107,11 +107,9 @@ type Framer struct {
 	frame   Frame
 	payload []byte
 
-	// maxRead is the size we advertised to the peer (what it may send us);
-	// maxWrite is what the peer advertised (what we may send it). Atomics
+	// maxWrite is what the peer advertised (what we may send it). Atomic
 	// because SETTINGS arrive on the read loop while writers are active;
 	// zero means the protocol initial value so a zero Framer works.
-	maxRead  atomic.Uint32
 	maxWrite atomic.Uint32
 }
 
@@ -124,16 +122,6 @@ func orDefault(n uint32) uint32 {
 		return maxFrameSize
 	}
 	return n
-}
-
-// SetMaxReadFrameSize raises (or restores) the incoming-frame limit this
-// end advertised via SETTINGS_MAX_FRAME_SIZE.
-func (fr *Framer) SetMaxReadFrameSize(n uint32) error {
-	if n < maxFrameSize || n > absMaxFrameSize {
-		return ConnError{Code: ErrProtocol, Reason: fmt.Sprintf("SETTINGS_MAX_FRAME_SIZE %d outside [%d, %d]", n, maxFrameSize, absMaxFrameSize)}
-	}
-	fr.maxRead.Store(n)
-	return nil
 }
 
 // SetMaxWriteFrameSize installs the peer-advertised SETTINGS_MAX_FRAME_SIZE
@@ -181,8 +169,8 @@ func (fr *Framer) readInto(f *Frame, reuse bool) error {
 		return err
 	}
 	length := uint32(fr.readBuf[0])<<16 | uint32(fr.readBuf[1])<<8 | uint32(fr.readBuf[2])
-	if max := orDefault(fr.maxRead.Load()); length > max {
-		return ConnError{Code: ErrFrameSize, Reason: fmt.Sprintf("frame of %d bytes exceeds max %d", length, max)}
+	if length > maxFrameSize {
+		return ConnError{Code: ErrFrameSize, Reason: fmt.Sprintf("frame of %d bytes exceeds max %d", length, maxFrameSize)}
 	}
 	f.Type = FrameType(fr.readBuf[3])
 	f.Flags = fr.readBuf[4]
@@ -257,9 +245,7 @@ const ClientPreface = "PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
 
 // Settings identifiers (RFC 7540 §6.5.2).
 const (
-	SettingHeaderTableSize   = 0x1
 	SettingEnablePush        = 0x2
-	SettingMaxConcurrent     = 0x3
 	SettingInitialWindowSize = 0x4
 	SettingMaxFrameSize      = 0x5
 )
@@ -321,13 +307,6 @@ func parseGoAway(p []byte) (lastStream uint32, code ErrCode, debug string, err e
 	lastStream = binary.BigEndian.Uint32(p[0:4]) &^ (1 << 31)
 	code = ErrCode(binary.BigEndian.Uint32(p[4:8]))
 	return lastStream, code, string(p[8:]), nil
-}
-
-// rstPayload builds a RST_STREAM payload.
-func rstPayload(code ErrCode) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(code))
-	return b[:]
 }
 
 // parseRst extracts the error code from a RST_STREAM payload.

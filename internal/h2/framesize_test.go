@@ -12,17 +12,11 @@ func TestMaxFrameSizeValidation(t *testing.T) {
 	fr := &Framer{}
 	for _, bad := range []uint32{0, 1, maxFrameSize - 1, absMaxFrameSize + 1, 1 << 30} {
 		var ce ConnError
-		if err := fr.SetMaxReadFrameSize(bad); !errors.As(err, &ce) || ce.Code != ErrProtocol {
-			t.Errorf("SetMaxReadFrameSize(%d) = %v, want PROTOCOL_ERROR", bad, err)
-		}
 		if err := fr.SetMaxWriteFrameSize(bad); !errors.As(err, &ce) || ce.Code != ErrProtocol {
 			t.Errorf("SetMaxWriteFrameSize(%d) = %v, want PROTOCOL_ERROR", bad, err)
 		}
 	}
 	for _, ok := range []uint32{maxFrameSize, maxFrameSize + 1, absMaxFrameSize} {
-		if err := fr.SetMaxReadFrameSize(ok); err != nil {
-			t.Errorf("SetMaxReadFrameSize(%d) = %v, want nil", ok, err)
-		}
 		if err := fr.SetMaxWriteFrameSize(ok); err != nil {
 			t.Errorf("SetMaxWriteFrameSize(%d) = %v, want nil", ok, err)
 		}
@@ -74,25 +68,20 @@ func TestReadFrameEnforcesAdvertisedMax(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	wire := encode(20000)
-
-	// Default advertised max: the incoming frame is a FRAME_SIZE_ERROR.
-	fr := &Framer{r: bytes.NewReader(wire)}
+	// Past the advertised (protocol initial) max: a FRAME_SIZE_ERROR.
+	fr := &Framer{r: bytes.NewReader(encode(maxFrameSize + 1))}
 	var ce ConnError
 	if _, err := fr.ReadFrame(); !errors.As(err, &ce) || ce.Code != ErrFrameSize {
 		t.Fatalf("oversized read = %v, want FRAME_SIZE_ERROR", err)
 	}
-	// After advertising a bigger max, the same frame reads fine.
-	fr = &Framer{r: bytes.NewReader(wire)}
-	if err := fr.SetMaxReadFrameSize(32768); err != nil {
-		t.Fatal(err)
-	}
+	// A frame of exactly the max reads fine.
+	fr = &Framer{r: bytes.NewReader(encode(maxFrameSize))}
 	f, err := fr.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Payload) != 20000 {
-		t.Fatalf("payload %d bytes, want 20000", len(f.Payload))
+	if len(f.Payload) != maxFrameSize {
+		t.Fatalf("payload %d bytes, want %d", len(f.Payload), maxFrameSize)
 	}
 }
 

@@ -1,12 +1,20 @@
 package h2
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"testing"
 	"time"
 )
+
+// rstPayload builds a RST_STREAM payload.
+func rstPayload(code ErrCode) []byte {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], uint32(code))
+	return b[:]
+}
 
 // rawServe runs a scripted fake server: it accepts one connection, performs
 // the server half of the h2 handshake, and hands the framer to script. Tests

@@ -32,9 +32,6 @@ type Request struct {
 	Body      []byte
 }
 
-// URL reconstructs the request target.
-func (r *Request) URL() string { return r.Scheme + "://" + r.Authority + r.Path }
-
 // Response is a complete HTTP/2 response.
 type Response struct {
 	Status int

@@ -26,8 +26,8 @@ func FuzzParse(f *testing.F) {
 		}
 		seen := make(map[string]bool, len(out))
 		for _, h := range out {
-			if h.URL.IsZero() {
-				t.Fatalf("zero URL in output: %+v", h)
+			if h.URL.Scheme == "" || h.URL.Host == "" {
+				t.Fatalf("URL without scheme or host in output: %+v", h)
 			}
 			if h.Priority != High && h.Priority != Semi && h.Priority != Low {
 				t.Fatalf("invalid priority: %+v", h)

@@ -111,12 +111,10 @@ type Config struct {
 	// MaxTenants caps resident origins; registering past it evicts the
 	// least-recently-looked-up tenant (default 256).
 	MaxTenants int
-	// Workers bounds concurrent background retrains (default 2).
+	// Workers bounds concurrent background retrains (default 2). At most
+	// 4*Workers retrain jobs wait for a worker; a full queue drops the
+	// retrain request — the next stale lookup re-requests it.
 	Workers int
-	// QueueDepth bounds retrain jobs waiting for a worker (default
-	// 4*Workers). A full queue drops the retrain request — the next stale
-	// lookup re-requests it.
-	QueueDepth int
 	// Clock supplies time for tests; nil means time.Now.
 	Clock func() time.Time
 	// Log, when non-nil, receives structured store events: retrain swaps
@@ -154,13 +152,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return 2
-}
-
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 4 * c.workers()
 }
 
 // table is one immutable published hint table. Readers hold it only via
@@ -331,7 +322,7 @@ func New(cfg Config) *Store {
 		cfg:     cfg,
 		clock:   cfg.Clock,
 		tenants: make(map[string]*shard),
-		trainq:  make(chan *shard, cfg.queueDepth()),
+		trainq:  make(chan *shard, 4*cfg.workers()),
 		cancel:  make(chan struct{}),
 	}
 	if st.clock == nil {

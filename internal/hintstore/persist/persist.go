@@ -85,10 +85,6 @@ type Options struct {
 	WALRotateBytes int64
 	// Fsync selects the durability/throughput trade (default FsyncAlways).
 	Fsync FsyncPolicy
-	// KeepSnapshots retains this many newest snapshots per origin (default
-	// 2): the newest may be the one a crash tore, so recovery wants a
-	// predecessor to fall back to.
-	KeepSnapshots int
 	// Crash, when non-nil, is the torture harness's kill switch.
 	Crash CrashFn
 	// Log, when non-nil, receives structured persistence events.
@@ -112,12 +108,10 @@ func (o Options) rotateBytes() int64 {
 	return 1 << 20
 }
 
-func (o Options) keepSnapshots() int {
-	if o.KeepSnapshots > 0 {
-		return o.KeepSnapshots
-	}
-	return 2
-}
+// keepSnapshots is how many newest snapshots each origin retains: the
+// newest may be the one a crash tore, so recovery wants a predecessor to
+// fall back to.
+const keepSnapshots = 2
 
 // SnapInfo describes one origin's outcome in a full snapshot flush.
 type SnapInfo struct {
@@ -164,14 +158,6 @@ func Open(opts Options) (*Persister, error) {
 		return nil, err
 	}
 	return &Persister{opts: opts, origins: make(map[string]*originLog)}, nil
-}
-
-// Options returns the persister's resolved options.
-func (p *Persister) Options() Options {
-	if p == nil {
-		return Options{}
-	}
-	return p.opts
 }
 
 // Instrument attaches the persist metric families to reg, stamping the
@@ -442,16 +428,16 @@ func (p *Persister) snapshotLocked(dir string, t TableState) (SnapInfo, error) {
 	return info, nil
 }
 
-// pruneSnapshotsLocked deletes all but the newest KeepSnapshots snapshot
+// pruneSnapshotsLocked deletes all but the newest keepSnapshots snapshot
 // files. Deletion failures are ignored: stale snapshots cost bytes, not
 // correctness (recovery prefers higher versions).
 func (p *Persister) pruneSnapshotsLocked(dir string) {
 	names, err := filepath.Glob(filepath.Join(dir, "snap-*.vsnap"))
-	if err != nil || len(names) <= p.opts.keepSnapshots() {
+	if err != nil || len(names) <= keepSnapshots {
 		return
 	}
 	sort.Strings(names) // version is zero-padded hex: lexicographic == numeric
-	for _, name := range names[:len(names)-p.opts.keepSnapshots()] {
+	for _, name := range names[:len(names)-keepSnapshots] {
 		os.Remove(name)
 	}
 }

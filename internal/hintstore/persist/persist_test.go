@@ -4,9 +4,24 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// QuarantineList returns every quarantined artifact currently on disk under
+// a state directory.
+func QuarantineList(dir string) []string {
+	var out []string
+	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.Contains(path, string(filepath.Separator)+"quarantine"+string(filepath.Separator)) {
+			out = append(out, path)
+		}
+		return nil
+	})
+	sort.Strings(out)
+	return out
+}
 
 // mustOpen opens a persister over a fresh temp dir.
 func mustOpen(t *testing.T, opts Options) (*Persister, string) {
@@ -109,7 +124,7 @@ func TestWALRotation(t *testing.T) {
 }
 
 func TestSnapshotPruneRetention(t *testing.T) {
-	p, dir := mustOpen(t, Options{WALRotateBytes: 1, KeepSnapshots: 2})
+	p, dir := mustOpen(t, Options{WALRotateBytes: 1})
 	for v := uint64(1); v <= 6; v++ {
 		if err := p.Append(testState("news.example", v)); err != nil {
 			t.Fatal(err)
@@ -169,7 +184,7 @@ func TestSnapshotAllFlushesAndResetsWAL(t *testing.T) {
 // checks recovery falls back to its predecessor and moves the bad file to
 // quarantine.
 func TestRecoverQuarantinesCorruptSnapshot(t *testing.T) {
-	p, dir := mustOpen(t, Options{WALRotateBytes: 1, KeepSnapshots: 3})
+	p, dir := mustOpen(t, Options{WALRotateBytes: 1})
 	for v := uint64(1); v <= 2; v++ {
 		if err := p.Append(testState("news.example", v)); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -157,18 +156,4 @@ func saveQuarantine(dir, name string, b []byte, rec *Recovery, log *slog.Logger)
 		log.Warn("quarantined", "artifact", dst, "reason", "torn-tail",
 			"bytes", len(b))
 	}
-}
-
-// QuarantineList returns every quarantined artifact currently on disk under
-// a state directory, for CI artifact upload and operator inspection.
-func QuarantineList(dir string) []string {
-	var out []string
-	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.Contains(path, string(filepath.Separator)+"quarantine"+string(filepath.Separator)) {
-			out = append(out, path)
-		}
-		return nil
-	})
-	sort.Strings(out)
-	return out
 }

@@ -65,7 +65,6 @@ func TestCrashTorture(t *testing.T) {
 		p, err := Open(Options{
 			Dir:            dir,
 			WALRotateBytes: 2500, // a few records per WAL: rotations happen often
-			KeepSnapshots:  2,
 			Crash:          plan.CrashPoint,
 		})
 		if err != nil {

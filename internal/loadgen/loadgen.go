@@ -67,20 +67,17 @@ func DefaultClasses() []ClientClass {
 
 // Config shapes one storm.
 type Config struct {
-	// Root is the page every client loads.
-	Root urlutil.URL
-	// Roots, when non-empty, overrides Root: each load draws one of these
-	// pages (uniformly, by seed) — a multi-tenant population.
+	// Roots are the pages the clients load (at least one): each load draws
+	// one of them, uniformly by seed, so several make a multi-tenant
+	// population.
 	Roots []urlutil.URL
 	// Loads is the total number of page loads (default 100).
 	Loads int
 	// Concurrency bounds loads in flight at once (default 32).
 	Concurrency int
-	// Seed makes the class draw (and nothing else — the server and wire
-	// own their fates) deterministic.
+	// Seed makes the draw from DefaultClasses (and nothing else — the
+	// server and wire own their fates) deterministic.
 	Seed int64
-	// Classes is the population (default DefaultClasses).
-	Classes []ClientClass
 	// Dial opens a transport to an origin; every client shares it.
 	Dial func(origin string) (net.Conn, error)
 	// Metrics, when set, aggregates client-side wire metrics across all
@@ -90,8 +87,6 @@ type Config struct {
 	// (default 30s). LoadPage guarantees return by its deadline; the grace
 	// absorbs scheduler noise, so any firing is a real hang.
 	HangGrace time.Duration
-	// Retry tunes per-fetch retries (default: 3 attempts, fast backoff).
-	Retry wire.RetryPolicy
 	// Trace, when set, records every load's spans into one shared storm
 	// recording (it must come from obs.NewWall — loads emit concurrently).
 	Trace *obs.Tracer
@@ -130,25 +125,11 @@ func (c Config) concurrency() int {
 	return 32
 }
 
-func (c Config) classes() []ClientClass {
-	if len(c.Classes) > 0 {
-		return c.Classes
-	}
-	return DefaultClasses()
-}
-
 func (c Config) hangGrace() time.Duration {
 	if c.HangGrace > 0 {
 		return c.HangGrace
 	}
 	return 30 * time.Second
-}
-
-func (c Config) retry() wire.RetryPolicy {
-	if c.Retry.MaxAttempts > 0 {
-		return c.Retry
-	}
-	return wire.RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 }
 
 // Sample is one completed (or hung) load.
@@ -205,7 +186,7 @@ type Result struct {
 // Run executes the storm and blocks until every load returns or trips the
 // hang watchdog.
 func Run(cfg Config) *Result {
-	classes := cfg.classes()
+	classes := DefaultClasses()
 	totalWeight := 0
 	for _, cl := range classes {
 		totalWeight += cl.Weight
@@ -214,9 +195,6 @@ func Run(cfg Config) *Result {
 		totalWeight = 1
 	}
 	roots := cfg.Roots
-	if len(roots) == 0 {
-		roots = []urlutil.URL{cfg.Root}
-	}
 	pick := func(i int) (ClientClass, urlutil.URL) {
 		r := rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x5851f42d4c957f2d))
 		root := roots[r.Intn(len(roots))]
@@ -307,6 +285,10 @@ func Run(cfg Config) *Result {
 	return res
 }
 
+// stormRetry is every client's per-fetch retry policy: three attempts with
+// fast backoff, enough to ride out shed 503s and a restart.
+var stormRetry = wire.RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
+
 // runOne performs a single page load for one class under the hang watchdog.
 func runOne(cfg Config, idx int, cl ClientClass, root urlutil.URL) Sample {
 	c := &wire.Client{
@@ -315,7 +297,7 @@ func runOne(cfg Config, idx int, cl ClientClass, root urlutil.URL) Sample {
 		HeaderTimeout: cl.HeaderTimeout,
 		StallTimeout:  cl.StallTimeout,
 		LoadDeadline:  cl.LoadDeadline,
-		Retry:         cfg.retry(),
+		Retry:         stormRetry,
 		Metrics:       cfg.Metrics,
 		Trace:         cfg.Trace,
 		Propagate:     cfg.Propagate,

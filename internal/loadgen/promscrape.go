@@ -132,26 +132,6 @@ func splitLabels(s string) []string {
 // Has reports whether the scrape contains any sample of the family.
 func (s *Scrape) Has(family string) bool { return len(s.samples[family]) > 0 }
 
-// MetricSample is one exported sample of a scraped family. (Named
-// MetricSample, not Sample — loadgen.Sample is the per-load result row.)
-type MetricSample struct {
-	Labels map[string]string
-	Value  float64
-}
-
-// Samples returns every sample of family in exposition order.
-func (s *Scrape) Samples(family string) []MetricSample {
-	raw := s.samples[family]
-	if len(raw) == 0 {
-		return nil
-	}
-	out := make([]MetricSample, len(raw))
-	for i, smp := range raw {
-		out[i] = MetricSample{Labels: smp.labels, Value: smp.value}
-	}
-	return out
-}
-
 // SumBy sums a family's samples grouped by one label's value. Samples
 // missing the label are folded under "". This is how the audit tool turns
 // a flat exposition back into per-origin breakdowns.

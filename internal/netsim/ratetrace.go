@@ -34,18 +34,6 @@ func (t *RateTrace) NextBoundary(since time.Duration) time.Duration {
 	return n * t.Interval
 }
 
-// Mean returns the average capacity.
-func (t *RateTrace) Mean() float64 {
-	if len(t.Rates) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range t.Rates {
-		s += r
-	}
-	return s / float64(len(t.Rates))
-}
-
 // SyntheticLTETrace synthesizes a cellular capacity trace as a bounded
 // random walk between floor and ceil bytes/second, the shape of the
 // Verizon LTE traces shipped with Mahimahi. The caller supplies the random

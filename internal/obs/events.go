@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -137,11 +138,14 @@ func PrefixTracks(rec *Recording, prefix string) *Recording {
 }
 
 // FlowJoinCount reports how many distinct ArgFlow values appear on Begin
-// events of two or more different tracks — i.e. how many propagated fetch
-// contexts were actually stitched across a process (or track) boundary.
-// The load-storm acceptance gate requires at least one.
-func FlowJoinCount(rec *Recording) int {
-	tracks := make(map[string]map[string]bool)
+// events both on a track carrying prefix (a server recording passed through
+// PrefixTracks before Merge) and on one without it: how many propagated
+// fetch contexts the server demonstrably adopted. A flow that only crosses
+// tracks inside one process does not count. The load-storm acceptance gate
+// requires at least one.
+func FlowJoinCount(rec *Recording, prefix string) int {
+	type sides struct{ client, server bool }
+	flows := make(map[string]*sides)
 	for _, ev := range rec.Events {
 		if ev.Kind != KindBegin {
 			continue
@@ -150,14 +154,20 @@ func FlowJoinCount(rec *Recording) int {
 		if flow == "" {
 			continue
 		}
-		if tracks[flow] == nil {
-			tracks[flow] = make(map[string]bool)
+		s := flows[flow]
+		if s == nil {
+			s = &sides{}
+			flows[flow] = s
 		}
-		tracks[flow][ev.Track] = true
+		if strings.HasPrefix(ev.Track, prefix) {
+			s.server = true
+		} else {
+			s.client = true
+		}
 	}
 	n := 0
-	for _, ts := range tracks {
-		if len(ts) >= 2 {
+	for _, s := range flows {
+		if s.client && s.server {
 			n++
 		}
 	}

@@ -132,13 +132,6 @@ func (r *LiveRecording) Emit(ev Event) {
 	r.mu.Unlock()
 }
 
-// Len returns the number of events emitted so far.
-func (r *LiveRecording) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // Snapshot returns a race-free copy of everything emitted so far, ready for
 // WritePerfetto.
 func (r *LiveRecording) Snapshot() *Recording {
@@ -266,11 +259,6 @@ type Span struct {
 // Active reports whether the span will record its End (i.e. tracing was
 // enabled when it began).
 func (s Span) Active() bool { return s.t != nil }
-
-// ID returns the span's event ID — the value that links its Begin to its
-// End, and the per-fetch component of a propagated trace context. Zero for
-// the inactive span.
-func (s Span) ID() uint64 { return s.id }
 
 // End closes the span at the current time.
 func (s Span) End(args ...Arg) {

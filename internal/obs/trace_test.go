@@ -22,9 +22,6 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	if tc.TraceID() != fmt.Sprintf("%016x", uint64(0xdeadbeefcafef00d)) {
 		t.Errorf("TraceID() = %q", tc.TraceID())
 	}
-	if !tc.Valid() || (TraceContext{}).Valid() {
-		t.Error("Valid() misreports")
-	}
 }
 
 func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
@@ -32,13 +29,13 @@ func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"nonsense",
-		good[:32],                             // too short
-		good + "0",                            // too long
-		strings.Replace(good, "-", "_", 1),    // wrong separator
-		strings.ToUpper(good),                 // uppercase hex is rejected (strict form)
-		"000000000000000g-0000000000000002",   // non-hex digit
-		"0000000000000000-0000000000000002",   // zero trace ID
-		good[:10] + " " + good[11:],           // embedded space
+		good[:32],                           // too short
+		good + "0",                          // too long
+		strings.Replace(good, "-", "_", 1),  // wrong separator
+		strings.ToUpper(good),               // uppercase hex is rejected (strict form)
+		"000000000000000g-0000000000000002", // non-hex digit
+		"0000000000000000-0000000000000002", // zero trace ID
+		good[:10] + " " + good[11:],         // embedded space
 	}
 	for _, v := range bad {
 		if _, ok := ParseTraceHeader(v); ok {
@@ -72,8 +69,8 @@ func TestForkSharesIDsAndTees(t *testing.T) {
 	b.End()
 	a.End()
 
-	if a.ID() == b.ID() || a.ID() == 0 || b.ID() == 0 {
-		t.Fatalf("span IDs not unique across fork: a=%d b=%d", a.ID(), b.ID())
+	if a.id == b.id || a.id == 0 || b.id == 0 {
+		t.Fatalf("span IDs not unique across fork: a=%d b=%d", a.id, b.id)
 	}
 	// The fork tees: its events land in both recordings; the parent's only
 	// in the main one.
@@ -275,12 +272,20 @@ func TestPrefixTracksAndFlowJoinCount(t *testing.T) {
 		t.Fatal("PrefixTracks mutated its input")
 	}
 	m := Merge(client, pref)
-	if n := FlowJoinCount(m); n != 1 {
+	if n := FlowJoinCount(m, "srv:"); n != 1 {
 		t.Errorf("FlowJoinCount = %d, want 1", n)
 	}
 	// A flow confined to one track does not count as a join.
-	if n := FlowJoinCount(client); n != 0 {
+	if n := FlowJoinCount(client, "srv:"); n != 0 {
 		t.Errorf("single-track FlowJoinCount = %d, want 0", n)
+	}
+	// Nor does one that crosses tracks inside the client only: the load and
+	// the network track share a flow the server never saw.
+	inner := Arg{Key: ArgFlow, Val: TraceContext{Trace: 7, Span: 2}.String()}
+	ctr.Begin(TrackLoad, "fetch", inner).End()
+	ctr.Begin(TrackNet, "recv", inner).End()
+	if n := FlowJoinCount(Merge(client, pref), "srv:"); n != 1 {
+		t.Errorf("FlowJoinCount with a client-internal crossing = %d, want 1", n)
 	}
 }
 

@@ -37,9 +37,6 @@ type TraceContext struct {
 	Span  uint64 // per-fetch span ID (the client fetch span's event ID)
 }
 
-// Valid reports whether the context carries a real trace ID.
-func (tc TraceContext) Valid() bool { return tc.Trace != 0 }
-
 // String renders the wire form, "<trace-16hex>-<span-16hex>" — also used
 // verbatim as the ArgFlow value.
 func (tc TraceContext) String() string {

@@ -66,8 +66,6 @@ type Options struct {
 	// Net overrides the network config (zero = LTE defaults for the
 	// policy's protocol).
 	Net *netsim.Config
-	// CPUScale overrides the client CPU speed (0 = mobile baseline).
-	CPUScale float64
 	// EventLimit bounds simulation events (0 = default 5M).
 	EventLimit uint64
 	// Faults injects a fault plan into the network and server layers and
@@ -135,7 +133,7 @@ func Run(site *webpage.Site, pol Policy, opts Options) (browser.Result, error) {
 		farm.Archive = append(farm.Archive, opts.snapshot(site, at, opts.Profile, uint64(at.UnixNano())))
 	}
 
-	bcfg := browser.Config{CPUScale: opts.CPUScale, Cache: opts.Cache, Trace: tracer}
+	bcfg := browser.Config{Cache: opts.Cache, Trace: tracer}
 	if pol == NetworkOnly {
 		bcfg.NoProcessing = true
 	}

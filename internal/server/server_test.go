@@ -102,7 +102,7 @@ func TestLookupFallsBackToArchive(t *testing.T) {
 			break
 		}
 	}
-	if oldOnly.IsZero() {
+	if oldOnly == (urlutil.URL{}) {
 		t.Skip("no old-only resource")
 	}
 	if _, ok := e.farm.Lookup(oldOnly); !ok {

@@ -78,12 +78,6 @@ func (d *Dist) Mean() float64 {
 	return s / float64(len(d.values))
 }
 
-// Min returns the smallest sample.
-func (d *Dist) Min() float64 { return d.Percentile(0) }
-
-// Max returns the largest sample.
-func (d *Dist) Max() float64 { return d.Percentile(100) }
-
 // Summary formats the quartiles.
 func (d *Dist) Summary() string {
 	return fmt.Sprintf("p25=%.2f p50=%.2f p75=%.2f p95=%.2f n=%d",

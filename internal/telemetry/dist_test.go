@@ -37,8 +37,8 @@ func TestMeanMinMax(t *testing.T) {
 	if d.Mean() != 4 {
 		t.Errorf("mean %v", d.Mean())
 	}
-	if d.Min() != 1 || d.Max() != 9 {
-		t.Errorf("min/max %v/%v", d.Min(), d.Max())
+	if min, max := d.Percentile(0), d.Percentile(100); min != 1 || max != 9 {
+		t.Errorf("min/max %v/%v", min, max)
 	}
 }
 

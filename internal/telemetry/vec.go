@@ -32,7 +32,6 @@ type vec struct {
 	handles map[string]any // label value -> cached handle
 	other   any            // the OverflowLabel handle, built on first fold
 	full    atomic.Bool    // len(handles) reached cap; overflow path skips the write lock
-	dropped atomic.Int64   // observations folded into the overflow bucket
 }
 
 func newVec(name, key string, capN int, mk func(string) any) *vec {
@@ -59,7 +58,6 @@ func (v *vec) with(val string) any {
 	if v.full.Load() {
 		// Every slot is taken and slots never free, so an unknown value is
 		// overflow without touching the write lock — the storm path.
-		v.dropped.Add(1)
 		return v.overflow()
 	}
 	v.mu.Lock()
@@ -69,7 +67,6 @@ func (v *vec) with(val string) any {
 	}
 	if len(v.handles) >= v.cap {
 		v.mu.Unlock()
-		v.dropped.Add(1)
 		return v.overflow()
 	}
 	h = v.mk(val)
@@ -116,15 +113,6 @@ func (v *vec) overflow() any {
 	h = v.other
 	v.mu.Unlock()
 	return h
-}
-
-// cardinality returns the number of distinct tracked values (excluding the
-// overflow bucket) and how many observations of untracked values were
-// folded into it.
-func (v *vec) cardinality() (tracked int, overflowed int64) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.handles), v.dropped.Load()
 }
 
 // CounterVec is a bounded-cardinality family of counters sharing one metric
@@ -174,15 +162,6 @@ func (cv *CounterVec) WithLabels(val string, extra ...Label) *Counter {
 	return cv.r.Counter(cv.v.name, labels...)
 }
 
-// Cardinality returns (tracked values, observations folded into the
-// overflow bucket). Zero on nil.
-func (cv *CounterVec) Cardinality() (int, int64) {
-	if cv == nil {
-		return 0, 0
-	}
-	return cv.v.cardinality()
-}
-
 // GaugeVec is the gauge analog of CounterVec.
 type GaugeVec struct {
 	r *Registry
@@ -222,14 +201,6 @@ func (gv *GaugeVec) WithLabels(val string, extra ...Label) *Gauge {
 	return gv.r.Gauge(gv.v.name, labels...)
 }
 
-// Cardinality returns (tracked values, folded observations). Zero on nil.
-func (gv *GaugeVec) Cardinality() (int, int64) {
-	if gv == nil {
-		return 0, 0
-	}
-	return gv.v.cardinality()
-}
-
 // HistogramVec is the histogram analog of CounterVec.
 type HistogramVec struct {
 	r *Registry
@@ -252,12 +223,4 @@ func (hv *HistogramVec) With(val string) *Histogram {
 		return nil
 	}
 	return hv.v.with(val).(*Histogram)
-}
-
-// Cardinality returns (tracked values, folded observations). Zero on nil.
-func (hv *HistogramVec) Cardinality() (int, int64) {
-	if hv == nil {
-		return 0, 0
-	}
-	return hv.v.cardinality()
 }

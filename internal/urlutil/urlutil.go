@@ -104,20 +104,9 @@ func (u URL) String() string {
 	return b.String()
 }
 
-// IsZero reports whether u is the zero URL.
-func (u URL) IsZero() bool { return u.Scheme == "" && u.Host == "" }
-
 // Origin returns scheme://host, the unit of connection reuse and of HTTP/2
 // push authority.
 func (u URL) Origin() string { return u.Scheme + "://" + u.Host }
-
-// HostOnly returns the host without any port.
-func (u URL) HostOnly() string {
-	if i := strings.LastIndexByte(u.Host, ':'); i >= 0 && !strings.Contains(u.Host, "]") {
-		return u.Host[:i]
-	}
-	return u.Host
-}
 
 // RegistrableDomain approximates eTLD+1 extraction: it returns the last two
 // labels of the host ("static.cdn.example.com" -> "example.com"). For
@@ -150,14 +139,6 @@ var twoLabelSuffixes = map[string]bool{
 	"co.jp": true, "ne.jp": true, "or.jp": true,
 	"com.br": true, "com.cn": true, "com.mx": true, "co.in": true,
 	"co.kr": true, "co.nz": true, "co.za": true,
-}
-
-// SameSite reports whether two hosts share a registrable domain. Vroom uses
-// this for the incremental-adoption scenario (all domains controlled by the
-// first party are Vroom-compliant) and for first-party vs third-party
-// classification.
-func SameSite(a, b string) bool {
-	return RegistrableDomain(a) == RegistrableDomain(b)
 }
 
 // SameOrigin reports whether two URLs share scheme and host. A server may

@@ -96,15 +96,6 @@ func TestRegistrableDomain(t *testing.T) {
 	}
 }
 
-func TestSameSite(t *testing.T) {
-	if !SameSite("www.news.com", "static.news.com") {
-		t.Error("www and static subdomains should be same site")
-	}
-	if SameSite("www.news.com", "www.ads.com") {
-		t.Error("different registrable domains are not same site")
-	}
-}
-
 func TestSameOrigin(t *testing.T) {
 	a := MustParse("https://a.com/x")
 	b := MustParse("https://a.com/y")
@@ -118,13 +109,10 @@ func TestSameOrigin(t *testing.T) {
 	}
 }
 
-func TestOriginAndHostOnly(t *testing.T) {
+func TestOrigin(t *testing.T) {
 	u := MustParse("https://www.example.com:8443/x")
 	if u.Origin() != "https://www.example.com:8443" {
 		t.Errorf("Origin = %q", u.Origin())
-	}
-	if u.HostOnly() != "www.example.com" {
-		t.Errorf("HostOnly = %q", u.HostOnly())
 	}
 }
 

@@ -14,20 +14,8 @@ type Corpus struct {
 type CorpusConfig struct {
 	// Seed makes the whole corpus deterministic.
 	Seed int64
-	// NumTop100, NumNews, NumSports, NumShopping are the per-category
-	// site counts.
-	NumTop100, NumNews, NumSports, NumShopping int
-}
-
-// NewsAndSports returns the paper's main workload: the top 50 News and top
-// 50 Sports landing pages.
-func NewsAndSports(seed int64) CorpusConfig {
-	return CorpusConfig{Seed: seed, NumNews: 50, NumSports: 50}
-}
-
-// Top100Mix returns the Alexa-US-top-100-like workload.
-func Top100Mix(seed int64) CorpusConfig {
-	return CorpusConfig{Seed: seed, NumTop100: 100}
+	// NumTop100, NumNews, NumSports are the per-category site counts.
+	NumTop100, NumNews, NumSports int
 }
 
 // Generate builds a corpus.
@@ -42,9 +30,6 @@ func Generate(cfg CorpusConfig) *Corpus {
 	}
 	for i := 0; i < cfg.NumSports; i++ {
 		c.Sites = append(c.Sites, NewSite(fmt.Sprintf("sportly%02d", i), Sports, r.Int63()))
-	}
-	for i := 0; i < cfg.NumShopping; i++ {
-		c.Sites = append(c.Sites, NewSite(fmt.Sprintf("shoply%02d", i), Shopping, r.Int63()))
 	}
 	return c
 }

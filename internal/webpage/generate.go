@@ -44,10 +44,10 @@ type siteDomains struct {
 // to URL variants.
 type variantGroup int
 
+// The zero variantGroup marks a resource with one URL for every device.
 const (
-	variantNone   variantGroup = iota
-	variantPhones              // PhoneSmall+PhoneLarge share, Tablet differs
-	variantAll                 // all three classes differ
+	variantPhones variantGroup = iota + 1 // PhoneSmall+PhoneLarge share, Tablet differs
+	variantAll                            // all three classes differ
 )
 
 type slot struct {

@@ -59,13 +59,6 @@ func (c *SnapshotCache) Snapshot(site *Site, at time.Time, p Profile, nonce uint
 	return e.sn
 }
 
-// Len returns the number of cached snapshots.
-func (c *SnapshotCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // Stats returns how many Snapshot calls were served from the cache (hits)
 // versus materialized fresh (misses).
 func (c *SnapshotCache) Stats() (hits, misses int64) {

@@ -25,8 +25,8 @@ func TestSnapshotCacheSharesAndKeys(t *testing.T) {
 	if b := c.Snapshot(site, at, Profile{Device: Tablet, UserID: 11}, 1); b == a {
 		t.Error("different profile shared a snapshot")
 	}
-	if c.Len() != 4 {
-		t.Errorf("cache holds %d entries, want 4", c.Len())
+	if len(c.m) != 4 {
+		t.Errorf("cache holds %d entries, want 4", len(c.m))
 	}
 	// A cached snapshot is the same materialization an uncached call makes.
 	fresh := site.Snapshot(at, p, 1)

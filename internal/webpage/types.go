@@ -201,13 +201,6 @@ type Resource struct {
 	UsesUserState bool
 }
 
-// IsHighPriority reports whether Vroom treats this resource as high
-// priority: it must be processed and it is not an iframe descendant and not
-// declared async.
-func (r *Resource) IsHighPriority() bool {
-	return r.Type.NeedsProcessing() && !r.InIframe && !r.Async
-}
-
 // Snapshot is one consistent materialization of a site: the full set of
 // resources a single page load touches, with rendered bodies.
 type Snapshot struct {

@@ -3,6 +3,8 @@ package webpage
 import (
 	"testing"
 	"time"
+
+	"vroom/internal/hints"
 )
 
 var t0 = time.Date(2017, 8, 21, 9, 0, 0, 0, time.UTC)
@@ -203,13 +205,13 @@ func TestHighPriorityClassification(t *testing.T) {
 	sn := s.Snapshot(t0, Profile{}, 1)
 	var high, low int
 	for _, r := range sn.Ordered() {
-		if r.IsHighPriority() {
+		if (Discovered{URL: r.URL, Async: r.Async}).Priority() == hints.High {
 			high++
 			if !r.Type.NeedsProcessing() {
 				t.Errorf("%s high priority but type %s", r.URL, r.Type)
 			}
-			if r.InIframe {
-				t.Errorf("%s high priority but inside iframe", r.URL)
+			if r.Async {
+				t.Errorf("%s high priority but async", r.URL)
 			}
 		} else {
 			low++
@@ -242,20 +244,5 @@ func TestShoppingCategoryMoreDynamic(t *testing.T) {
 	shop, top := churn(Shopping), churn(Top100)
 	if shop <= top {
 		t.Errorf("shopping churn %.3f not above top100 %.3f", shop, top)
-	}
-}
-
-func TestShoppingInCorpus(t *testing.T) {
-	c := Generate(CorpusConfig{Seed: 3, NumShopping: 4})
-	if len(c.Sites) != 4 {
-		t.Fatalf("%d sites", len(c.Sites))
-	}
-	for _, s := range c.Sites {
-		if s.Category != Shopping {
-			t.Fatalf("category %v", s.Category)
-		}
-		if s.Snapshot(t0, Profile{}, 1).Len() < 40 {
-			t.Fatal("degenerate shopping site")
-		}
 	}
 }

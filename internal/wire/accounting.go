@@ -35,12 +35,12 @@ type Accountant struct {
 	cfg   AccountingConfig
 	clock func() time.Time
 
+	// origins holds at most MaxOrigins ledgers of at most MaxOpenPerOrigin
+	// windows each. A prediction past either bound is not tracked: it
+	// settles as nothing (emitted-only), so bounded memory never skews
+	// precision, it only reduces sample size.
 	mu      sync.Mutex
 	origins map[string]*originLedger
-	// drops counts predictions not tracked because a bound was hit; they
-	// settle as nothing (emitted-only) so bounded memory never skews
-	// precision, it only reduces sample size.
-	drops int64
 }
 
 // AccountingConfig sizes the accountant.
@@ -126,7 +126,6 @@ func (a *Accountant) NoteHints(docOrigin string, hs []hints.Hint, age time.Durat
 		host := hs[i].URL.Host
 		ol := a.ledgerLocked(host)
 		if ol == nil {
-			a.drops++
 			continue
 		}
 		a.expireLocked(ol, now)
@@ -135,7 +134,6 @@ func (a *Accountant) NoteHints(docOrigin string, hs []hints.Hint, age time.Durat
 			continue // re-emission refreshes nothing; first window stands
 		}
 		if len(ol.open) >= a.cfg.maxOpen() {
-			a.drops++
 			continue
 		}
 		if len(ol.open) == 0 || now.Before(ol.oldest) {
@@ -223,16 +221,6 @@ func (a *Accountant) Flush() int {
 		a.expireLocked(ol, endOfTime)
 	}
 	return n
-}
-
-// Drops reports predictions dropped at a cardinality or window bound.
-func (a *Accountant) Drops() int64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.drops
 }
 
 // ledgerLocked returns (creating) a host's ledger, or nil at the origin

@@ -86,9 +86,6 @@ func TestAccountantSettlement(t *testing.T) {
 		t.Errorf("staleness %d ms over %d serves, want 2000 over 1 (fallback emission must not observe)",
 			q.StaleServeMsSum, q.StaleServes)
 	}
-	if acct.Drops() != 0 {
-		t.Errorf("drops = %d, want 0", acct.Drops())
-	}
 }
 
 // TestAccountantFlushPushedSettlesUsed pins the push asymmetry rule: a
@@ -111,19 +108,19 @@ func TestAccountantFlushPushedSettlesUsed(t *testing.T) {
 }
 
 // TestAccountantBounds proves tracked state cannot grow past its caps:
-// past MaxOpenPerOrigin or MaxOrigins predictions drop (counted), and
-// dropped predictions never skew precision — they just shrink the sample.
+// past MaxOpenPerOrigin or MaxOrigins predictions go untracked, and
+// untracked predictions never skew precision — they just shrink the sample.
 func TestAccountantBounds(t *testing.T) {
 	st, acct, origin, _ := acctFixture(t, AccountingConfig{MaxOpenPerOrigin: 2, MaxOrigins: 1})
 	hs := []hints.Hint{hintFor(origin, "/1"), hintFor(origin, "/2"), hintFor(origin, "/3")}
 	acct.NoteHints(origin, hs, 0, true)
-	if got := acct.Drops(); got != 1 {
-		t.Fatalf("per-origin bound: drops = %d, want 1", got)
+	if got := len(acct.origins[origin].open); got != 2 {
+		t.Fatalf("per-origin bound: %d open windows, want 2", got)
 	}
-	// A second origin is past MaxOrigins: all its windows drop.
+	// A second origin is past MaxOrigins: none of its windows is tracked.
 	acct.NoteHints("elsewhere.example", []hints.Hint{hintFor("elsewhere.example", "/x")}, 0, true)
-	if got := acct.Drops(); got != 2 {
-		t.Fatalf("origin bound: drops = %d, want 2", got)
+	if got := len(acct.origins); got != 1 {
+		t.Fatalf("origin bound: %d ledgers, want 1", got)
 	}
 	acct.Flush()
 	// Emitted counts every hint served; settled outcomes only the tracked.
@@ -141,7 +138,6 @@ type scanLedger struct {
 	maxOpen int
 	open    map[string]map[string]*prediction // host -> url -> window
 	tally   map[string]*hints.QualityDelta
-	drops   int64
 }
 
 func (m *scanLedger) of(host string) *hints.QualityDelta {
@@ -176,7 +172,6 @@ func (m *scanLedger) noteHints(doc string, hs []hints.Hint, now time.Time) {
 			continue
 		}
 		if len(m.open[host]) >= m.maxOpen {
-			m.drops++
 			continue
 		}
 		m.open[host][url] = &prediction{emitted: now}
@@ -215,8 +210,8 @@ func (m *scanLedger) flush() {
 // full-scan reference with the same seeded mix of emissions, pushes,
 // requests and clock steps (some shorter than the window, some longer,
 // over several hosts so one emission touches several ledgers) and requires
-// every tenant's emitted/used/unused/missed/pushed/wasted totals and the
-// drop count to match: tracking each ledger's oldest emission changes when
+// every tenant's emitted/used/unused/missed/pushed/wasted totals to match:
+// tracking each ledger's oldest emission changes when
 // the scan runs, never what it settles.
 func TestAccountantExpiryMatchesFullScan(t *testing.T) {
 	const window = 5 * time.Second
@@ -268,9 +263,6 @@ func TestAccountantExpiryMatchesFullScan(t *testing.T) {
 		}
 		acct.Flush()
 		ref.flush()
-		if acct.Drops() != ref.drops {
-			t.Errorf("seed %d: drops = %d, full scan %d", seed, acct.Drops(), ref.drops)
-		}
 		for _, h := range hosts {
 			q, want := st.QualityOf(h), ref.of(h)
 			got := hints.QualityDelta{HintsEmitted: q.HintsEmitted, HintsUsed: q.HintsUsed,

@@ -114,11 +114,6 @@ type Server struct {
 	// redirects remembers mangled stale-hint URLs -> fresh URLs so the
 	// server can answer the client's fetch of a stale hint with a 301.
 	redirects map[string]string
-	// Stats, exported only through the locked Stats() snapshot.
-	requests int
-	pushes   int
-	shed     int
-	degraded map[string]int // by mode token
 
 	trace *obs.Tracer
 	reg   *telemetry.Registry
@@ -140,41 +135,11 @@ type Server struct {
 	bodies sync.Map
 }
 
-// ServerStats is a point-in-time snapshot of the server's counters.
-type ServerStats struct {
-	// Requests counts served requests (admitted ones; shed requests are
-	// counted in Shed instead).
-	Requests int
-	// Pushes counts resources pushed to clients.
-	Pushes int
-	// Shed counts requests refused by admission control.
-	Shed int
-	// Degraded counts responses by degradation mode token (stale-hints,
-	// shed-hints, shed-push).
-	Degraded map[string]int
-}
-
-// Stats returns a consistent snapshot of the server's counters. The bare
-// fields these replace were racy to read while serving.
-func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := ServerStats{Requests: s.requests, Pushes: s.pushes, Shed: s.shed}
-	if len(s.degraded) > 0 {
-		st.Degraded = make(map[string]int, len(s.degraded))
-		for k, v := range s.degraded {
-			st.Degraded[k] = v
-		}
-	}
-	return st
-}
-
 // NewServer builds a replay server. resolver may be nil when hints are
 // disabled.
 func NewServer(a *replay.Archive, resolver *core.Resolver, device webpage.DeviceClass, cfg ServerConfig) *Server {
 	s := &Server{Archive: a, Resolver: resolver, Device: device, Cfg: cfg,
-		pushed: make(map[string]bool), redirects: make(map[string]string),
-		degraded: make(map[string]int)}
+		pushed: make(map[string]bool), redirects: make(map[string]string)}
 	// The transport refuses streams outright (REFUSED_STREAM — retryable)
 	// once the gate could only shed them anyway; cheaper than spending a
 	// handler goroutine to say 503. Saturated is nil-gate safe.
@@ -220,11 +185,7 @@ func (s *Server) Instrument(tr *obs.Tracer, reg *telemetry.Registry) {
 
 // noteRequest counts one served request.
 func (s *Server) noteRequest(proto, origin string) {
-	s.mu.Lock()
-	s.requests++
-	ctr := s.mReqs[proto]
-	s.mu.Unlock()
-	ctr.Inc()
+	s.mReqs[proto].Inc()
 	s.vReqs.With(origin).Inc()
 }
 
@@ -281,9 +242,6 @@ func (s *Server) child(st *serveTrace, name string, extra ...obs.Arg) obs.Span {
 
 // noteShed counts one request refused by admission.
 func (s *Server) noteShed(st *serveTrace, origin string) {
-	s.mu.Lock()
-	s.shed++
-	s.mu.Unlock()
 	s.mShed.Inc()
 	s.vShed.With(origin).Inc()
 	if s.trace.Enabled() {
@@ -301,15 +259,9 @@ func (s *Server) degrade(h map[string][]string, modes []string, st *serveTrace, 
 		return
 	}
 	h[HeaderDegraded] = []string{strings.Join(modes, ", ")}
-	s.mu.Lock()
-	for _, m := range modes {
-		s.degraded[m]++
-	}
-	reg := s.reg
-	s.mu.Unlock()
-	if reg != nil {
+	if s.reg != nil {
 		for _, m := range modes {
-			reg.Counter("vroom_server_degraded_total", telemetry.L("mode", m)).Inc()
+			s.reg.Counter("vroom_server_degraded_total", telemetry.L("mode", m)).Inc()
 		}
 	}
 	s.vDegr.With(origin).Add(int64(len(modes)))
@@ -629,9 +581,6 @@ func (s *Server) push(w *h2.ResponseWriter, r *h2.Request, hs []hints.Hint, st *
 		if err != nil {
 			return // peer disabled push
 		}
-		s.mu.Lock()
-		s.pushes++
-		s.mu.Unlock()
 		s.mPush.Inc()
 		// Body bytes are known at push-decision time (memoized), so the
 		// accountant can mark the prediction window pushed before the client

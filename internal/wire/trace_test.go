@@ -11,6 +11,7 @@ import (
 	"vroom/internal/obs"
 	"vroom/internal/overload"
 	"vroom/internal/replay"
+	"vroom/internal/telemetry"
 	"vroom/internal/urlutil"
 	"vroom/internal/webpage"
 )
@@ -21,6 +22,7 @@ import (
 // the vroom-trace header on the wire.
 type traceWorld struct {
 	srv    *Server
+	srvReg *telemetry.Registry
 	srvRec *obs.LiveRecording
 	cliRec *obs.LiveRecording
 	client *Client
@@ -37,7 +39,8 @@ func newTraceWorld(t *testing.T, gate *overload.Gate, cfg ServerConfig, retry Re
 	srv.Gate = gate
 
 	srvRec := &obs.LiveRecording{Start: time.Now()}
-	srv.Instrument(obs.NewWall(srvRec), nil)
+	srvReg := telemetry.NewRegistry()
+	srv.Instrument(obs.NewWall(srvRec), srvReg)
 
 	root, err := archive.Records[0].ParsedURL()
 	if err != nil {
@@ -67,51 +70,13 @@ func newTraceWorld(t *testing.T, gate *overload.Gate, cfg ServerConfig, retry Re
 		Propagate:     true,
 		Dial:          func(string) (net.Conn, error) { return link.Dial() },
 	}
-	return &traceWorld{srv: srv, srvRec: srvRec, cliRec: cliRec, client: c, root: root}
+	return &traceWorld{srv: srv, srvReg: srvReg, srvRec: srvRec, cliRec: cliRec, client: c, root: root}
 }
 
 // merged returns the two processes' recordings merged into one timeline,
 // server tracks prefixed "srv:" exactly the way vroom-load exports them.
 func (w *traceWorld) merged() *obs.Recording {
 	return obs.Merge(w.cliRec.Snapshot(), obs.PrefixTracks(w.srvRec.Snapshot(), "srv:"))
-}
-
-// beginFlows indexes a merged recording's Begin events by propagated flow
-// value: flow -> the tracks that opened a span carrying it.
-func beginFlows(rec *obs.Recording) map[string][]string {
-	flows := make(map[string][]string)
-	for _, ev := range rec.Events {
-		if ev.Kind != obs.KindBegin {
-			continue
-		}
-		for _, a := range ev.Args {
-			if a.Key == obs.ArgFlow && a.Val != "" {
-				flows[a.Val] = append(flows[a.Val], ev.Track)
-			}
-		}
-	}
-	return flows
-}
-
-// crossProcessJoins counts flows whose spans appear on both a client track
-// and a "srv:"-prefixed server track — the stricter form of
-// obs.FlowJoinCount that ignores client-internal track crossings.
-func crossProcessJoins(rec *obs.Recording) int {
-	joins := 0
-	for _, tracks := range beginFlows(rec) {
-		cli, srv := false, false
-		for _, tr := range tracks {
-			if strings.HasPrefix(tr, "srv:") {
-				srv = true
-			} else {
-				cli = true
-			}
-		}
-		if cli && srv {
-			joins++
-		}
-	}
-	return joins
 }
 
 // checkMergedPerfetto renders the merged recording and validates it.
@@ -146,7 +111,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 
 	merged := w.merged()
-	if joins := crossProcessJoins(merged); joins < 1 {
+	if joins := obs.FlowJoinCount(merged, "srv:"); joins < 1 {
 		t.Fatalf("no fetch flow joined client and server spans (got %d joins over %d events)", joins, len(merged.Events))
 	}
 
@@ -238,7 +203,7 @@ func TestDrainMidLoadTraceComplete(t *testing.T) {
 	}
 
 	merged := obs.Merge(w.cliRec.Snapshot(), obs.PrefixTracks(srvSnap, "srv:"))
-	if joins := crossProcessJoins(merged); joins < 1 {
+	if joins := obs.FlowJoinCount(merged, "srv:"); joins < 1 {
 		t.Errorf("mid-drain trace lost the root fetch's cross-process join")
 	}
 	checkMergedPerfetto(t, merged)
@@ -275,7 +240,7 @@ func TestShedCrossCheck(t *testing.T) {
 	if tagged == 0 {
 		t.Fatal("one-slot gate shed nothing; the cross-check exercised no path")
 	}
-	if shed := w.srv.Stats().Shed; tagged != shed {
+	if shed := w.srvReg.Counter("vroom_server_shed_total").Value(); int64(tagged) != shed {
 		t.Errorf("client saw %d shed-request 503s, server counted %d sheds", tagged, shed)
 	}
 	if gs := gate.Stats().Shed; gs == 0 {

@@ -10,6 +10,7 @@ import (
 	"vroom/internal/hints"
 	"vroom/internal/netem"
 	"vroom/internal/replay"
+	"vroom/internal/telemetry"
 	"vroom/internal/urlutil"
 	"vroom/internal/webpage"
 )
@@ -18,13 +19,15 @@ var recordTime = time.Date(2017, 8, 21, 12, 0, 0, 0, time.UTC)
 
 // startReplay serves a generated site over an emulated link and returns a
 // dialer plus the archive.
-func startReplay(t *testing.T, cfg ServerConfig) (*replay.Archive, *Server, func(string) (net.Conn, error), func()) {
+func startReplay(t *testing.T, cfg ServerConfig) (*replay.Archive, *telemetry.Registry, func(string) (net.Conn, error), func()) {
 	t.Helper()
 	site := webpage.NewSite("wiretest", webpage.Top100, 4242)
 	sn := site.Snapshot(recordTime, webpage.Profile{Device: webpage.PhoneSmall, UserID: 5}, 1)
 	archive := replay.FromSnapshot(sn)
 	resolver := TrainResolver(site, recordTime, webpage.PhoneSmall)
 	srv := NewServer(archive, resolver, webpage.PhoneSmall, cfg)
+	reg := telemetry.NewRegistry()
+	srv.Instrument(nil, reg)
 
 	link := netem.Listen(netem.LinkConfig{
 		Delay:               2 * time.Millisecond,
@@ -34,7 +37,7 @@ func startReplay(t *testing.T, cfg ServerConfig) (*replay.Archive, *Server, func
 	go srv.H2().Serve(link)
 	dial := func(string) (net.Conn, error) { return link.Dial() }
 	stop := func() { srv.H2().Close(); link.Close() }
-	return archive, srv, dial, stop
+	return archive, reg, dial, stop
 }
 
 func TestBaselineLoadFetchesWholePage(t *testing.T) {
@@ -63,7 +66,7 @@ func TestBaselineLoadFetchesWholePage(t *testing.T) {
 }
 
 func TestVroomLoadPushesAndHints(t *testing.T) {
-	archive, srv, dial, stop := startReplay(t, ServerConfig{SendHints: true, Push: true})
+	archive, reg, dial, stop := startReplay(t, ServerConfig{SendHints: true, Push: true})
 	defer stop()
 	c := &Client{Dial: dial, Staged: true}
 	root, err := archive.Records[0].ParsedURL()
@@ -77,7 +80,7 @@ func TestVroomLoadPushesAndHints(t *testing.T) {
 	if rep.Pushed == 0 {
 		t.Error("no resources were pushed")
 	}
-	if srv.Stats().Pushes == 0 {
+	if reg.Counter("vroom_server_pushes_total").Value() == 0 {
 		t.Error("server reports zero pushes")
 	}
 	if len(rep.Fetches) < archive.Len()*8/10 {

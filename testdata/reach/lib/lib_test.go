@@ -1,0 +1,9 @@
+package lib
+
+import "testing"
+
+func TestOnly(t *testing.T) {
+	if testOnly() != 2 {
+		t.Fatal("testOnly")
+	}
+}
