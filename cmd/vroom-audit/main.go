@@ -15,8 +15,7 @@
 //
 // With -bench the efficacy block is also folded into an existing
 // vroom-bench/v1 artifact's Server stats (in place, or to -bench-out),
-// so vroom-benchdiff can gate on precision/recall drift like any other
-// figure.
+// the one vroom-load -json-out writes.
 //
 // Exit status: 0 on success; 1 when no usable scrape was found, when an
 // input failed to parse, or when a -min-precision / -min-recall gate

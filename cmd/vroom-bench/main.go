@@ -4,12 +4,9 @@
 // Usage:
 //
 //	vroom-bench [-fig all|fig01,...] [-scale quick|half|full] [-seed N] [-workers N]
-//	vroom-bench -scale quick -json-out BENCH.json   # machine-readable artifact
 //
-// With -json-out the run also writes a schema-versioned JSON artifact
-// (internal/benchfmt) carrying every figure's series percentiles plus
-// execution telemetry — worker-pool utilization and training-cache hit
-// rates — for cmd/vroom-benchdiff to gate CI on.
+// TestAllFiguresRunQuick (internal/experiments) pins every figure at
+// -scale quick -seed 2017 exactly, against testdata/quick.golden.
 package main
 
 import (
@@ -20,10 +17,8 @@ import (
 	"strings"
 	"time"
 
-	"vroom/internal/benchfmt"
 	"vroom/internal/experiments"
 	"vroom/internal/faults"
-	"vroom/internal/runner"
 )
 
 func main() {
@@ -34,8 +29,6 @@ func main() {
 		regimeS = flag.String("faults", "none", "fault regime applied to every measured load: none, mild, or severe (seeded, reproducible)")
 		workers = flag.Int("workers", 0, "concurrent site workers per figure (0 = GOMAXPROCS, 1 = serial); any count produces identical tables")
 		list    = flag.Bool("list", false, "list figure ids and exit")
-		jsonOut = flag.String("json-out", "", "write a machine-readable benchmark artifact (vroom-benchdiff input) to this path")
-		gobench = flag.String("gobench-in", "", "embed `go test -bench` output from this file into the -json-out artifact (informational)")
 	)
 	flag.Parse()
 
@@ -77,9 +70,6 @@ func main() {
 	if *figs != "all" {
 		ids = strings.Split(*figs, ",")
 	}
-	artifact := &benchfmt.File{
-		Scale: *scale, Seed: *seed, Faults: regime.String(), Workers: o.Workers,
-	}
 	start := time.Now()
 	for _, id := range ids {
 		run, ok := experiments.Registry[strings.TrimSpace(id)]
@@ -87,63 +77,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown figure %q (use -list)\n", id)
 			os.Exit(2)
 		}
-		// Per-figure caches and pool accounting so the artifact attributes
-		// cache effectiveness and utilization to the figure that earned it.
-		caches := runner.NewCaches()
-		experiments.ResetPoolStats()
 		t0 := time.Now()
-		res, err := run(o.WithCaches(caches))
+		res, err := run(o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(t0)
 		fmt.Println(res.Text)
-		fmt.Printf("  [%s completed in %.1fs]\n\n", id, elapsed.Seconds())
-		artifact.Figures = append(artifact.Figures, figureArtifact(res, elapsed, o.Workers, caches))
+		fmt.Printf("  [%s completed in %.1fs]\n\n", id, time.Since(t0).Seconds())
 	}
-	artifact.ElapsedMs = time.Since(start).Seconds() * 1000
 	fmt.Printf("all done in %.1fs (scale=%s, seed=%d, workers=%d)\n", time.Since(start).Seconds(), *scale, *seed, o.Workers)
-
-	if *jsonOut != "" {
-		if *gobench != "" {
-			b, err := os.ReadFile(*gobench)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			artifact.GoBench = benchfmt.ParseGoBench(string(b))
-		}
-		if err := benchfmt.Save(*jsonOut, artifact); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%s, %d figures)\n", *jsonOut, benchfmt.Schema, len(artifact.Figures))
-	}
-}
-
-// figureArtifact distills one figure result into its artifact entry.
-func figureArtifact(res *experiments.Result, elapsed time.Duration, workers int, caches *runner.Caches) benchfmt.Figure {
-	fig := benchfmt.Figure{
-		ID: res.ID, Title: res.Title, Direction: benchfmt.DirectionFor(res.Title),
-		ElapsedMs: elapsed.Seconds() * 1000, Notes: res.Notes,
-	}
-	for _, row := range res.Series {
-		fig.Series = append(fig.Series, benchfmt.SeriesOf(row.Label, row.Dist))
-	}
-	ps := experiments.ReadPoolStats()
-	fig.Pool = &benchfmt.PoolStats{
-		Workers:     workers,
-		BusyMs:      ps.Busy.Seconds() * 1000,
-		CapacityMs:  ps.Capacity.Seconds() * 1000,
-		Utilization: ps.Utilization(),
-		Sites:       ps.Sites,
-	}
-	cs := caches.Stats()
-	fig.Cache = &benchfmt.CacheStats{
-		TrainingHits: cs.TrainingHits, TrainingMisses: cs.TrainingMisses,
-		PolarisHits: cs.PolarisHits, PolarisMisses: cs.PolarisMisses,
-		SnapshotHits: cs.SnapshotHits, SnapshotMisses: cs.SnapshotMisses,
-	}
-	return fig
 }

@@ -40,6 +40,7 @@ import (
 	"sort"
 	"time"
 
+	"vroom/internal/browser"
 	"vroom/internal/faults"
 	"vroom/internal/h1"
 	"vroom/internal/netem"
@@ -113,7 +114,7 @@ func main() {
 		HeaderTimeout: *headerTO,
 		StallTimeout:  *stallTO,
 		LoadDeadline:  *deadline,
-		Retry:         wire.RetryPolicy{MaxAttempts: *retries},
+		Retry:         browser.RetryPolicy{MaxAttempts: *retries},
 		Trace:         tr,
 		Propagate:     *propagate,
 		Metrics:       reg,

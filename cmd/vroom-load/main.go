@@ -16,8 +16,7 @@
 // path. -scrape reads the server's /metrics after the storm and folds
 // serving-side figures (QPS, hint-lookup p50/p99, shed rate) and the
 // hint-efficacy block (per-origin precision/recall, wasted push bytes)
-// into the vroom-bench/v1 artifact written by -json-out, which
-// vroom-benchdiff can then gate against a committed baseline. With
+// into the vroom-bench/v1 artifact written by -json-out. With
 // -scrape-every the scrape runs periodically through the whole storm
 // (each failure retried once, two in a row marked as a gap rather than
 // failing the run) and -scrape-out persists the series as a
@@ -370,7 +369,6 @@ func writeArtifact(path string, res *loadgen.Result, srv *benchfmt.ServerStats,
 				res.Loads, res.Hung, res.DeadlineHit, res.Retries),
 		},
 	}
-	fig.Direction = benchfmt.DirectionFor(fig.Title)
 	fig.Series = classSeries(res)
 	return benchfmt.Save(path, &benchfmt.File{
 		Scale:     "load",

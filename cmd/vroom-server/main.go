@@ -78,7 +78,6 @@ import (
 
 	"vroom/internal/core"
 	"vroom/internal/faults"
-	"vroom/internal/h1"
 	"vroom/internal/hintstore"
 	"vroom/internal/hintstore/persist"
 	"vroom/internal/logutil"
@@ -307,11 +306,10 @@ func main() {
 		"addr", l.Addr().String(), "proto", *proto, "hints", *sendHints,
 		"push", *push, "faults", regime.String(), "gate", *maxConc)
 
-	h1srv := &h1.Server{Handler: srv, Overloaded: func() bool { return gate.Saturated() }}
 	serveErr := make(chan error, 1)
 	go func() {
 		if *proto == "h1" {
-			serveErr <- h1srv.Serve(l)
+			serveErr <- srv.H1().Serve(l)
 		} else {
 			serveErr <- srv.H2().Serve(l)
 		}
@@ -329,15 +327,7 @@ func main() {
 		log.Info("draining", "signal", s.String(), "budget", drain.String())
 		draining.Store(true)
 		l.Close()
-		var cps []hintstore.Checkpoint
-		if *proto == "h1" {
-			gate.Drain()
-			h1srv.Drain(*drain)
-			srv.Acct.Flush()
-			cps = store.Drain(*drain)
-		} else {
-			cps = srv.Drain(*drain)
-		}
+		cps := srv.Drain(*drain)
 		flushFailed := false
 		for _, cp := range cps {
 			args := []any{"origin", cp.Origin, "version", cp.Version,

@@ -1,15 +1,13 @@
-// Package benchfmt defines the machine-readable benchmark artifact
-// cmd/vroom-bench emits (-json-out) and the comparison logic
-// cmd/vroom-benchdiff applies to two such artifacts. The schema is
-// versioned so CI can reject artifacts from a different pipeline
-// generation instead of comparing apples to oranges.
+// Package benchfmt defines the machine-readable load-run artifact
+// cmd/vroom-load emits (-json-out) and cmd/vroom-audit -bench folds hint
+// efficacy into. The schema is versioned so a reader rejects an artifact
+// from a different generation instead of misreading it.
 package benchfmt
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 
 	"vroom/internal/telemetry"
 )
@@ -17,8 +15,7 @@ import (
 // Schema identifies the artifact layout. Bump on incompatible change.
 const Schema = "vroom-bench/v1"
 
-// File is one benchmark run: the corpus configuration plus every figure's
-// distilled series and execution telemetry.
+// File is one load run: its configuration plus the run's distilled series.
 type File struct {
 	Schema    string   `json:"schema"`
 	Scale     string   `json:"scale"`
@@ -27,42 +24,18 @@ type File struct {
 	Workers   int      `json:"workers"`
 	ElapsedMs float64  `json:"elapsed_ms"`
 	Figures   []Figure `json:"figures"`
-	// GoBench carries go-test benchmark results (ns/op and friends) when
-	// the driver ingested them (vroom-bench -gobench-in). Informational:
-	// the diff reports drift but never gates on them — micro-benchmark
-	// noise on shared CI runners would make the gate flaky.
-	GoBench []GoBench `json:"go_bench,omitempty"`
 }
 
-// GoBench is one parsed `go test -bench` result line.
-type GoBench struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-}
-
-// Figure is one reproduced table or figure.
+// Figure is one titled set of series.
 type Figure struct {
-	ID string `json:"id"`
-	// Title is the figure's human title; Direction is derived from it at
-	// write time (see DirectionFor) so the diff never re-guesses.
-	Title string `json:"title"`
-	// Direction says which way the series are better: "lower" (latencies),
-	// "higher" (fractions, coverage), or "both" (any drift is notable).
-	Direction string   `json:"direction"`
+	ID        string   `json:"id"`
+	Title     string   `json:"title"`
 	ElapsedMs float64  `json:"elapsed_ms"`
 	Series    []Series `json:"series"`
 	Notes     []string `json:"notes,omitempty"`
-	// Pool and Cache carry execution telemetry: worker-pool utilization and
-	// shared-training-cache effectiveness for this figure's run.
-	Pool  *PoolStats  `json:"pool,omitempty"`
-	Cache *CacheStats `json:"cache,omitempty"`
-	// Server carries the serving side of a load-generator run
-	// (vroom-load -json-out): offered rate, hint-lookup latency, shed and
-	// degradation rates. Absent on simulation figures, so old and new
-	// artifacts stay merge-compatible.
+	// Server carries the serving side of the run: offered rate,
+	// hint-lookup latency, shed and degradation rates. Absent when the
+	// scrape failed.
 	Server *ServerStats `json:"server,omitempty"`
 }
 
@@ -162,80 +135,6 @@ func SeriesOf(label string, d *telemetry.Dist) Series {
 		Label: label, N: d.N(), Mean: d.Mean(),
 		P25: d.Percentile(25), P50: d.Median(), P75: d.Percentile(75), P95: d.Percentile(95),
 	}
-}
-
-// PoolStats reports worker-pool usage while the figure ran.
-type PoolStats struct {
-	Workers     int     `json:"workers"`
-	BusyMs      float64 `json:"busy_ms"`
-	CapacityMs  float64 `json:"capacity_ms"`
-	Utilization float64 `json:"utilization"`
-	Sites       int     `json:"sites"`
-}
-
-// CacheStats reports shared-training-cache effectiveness while the figure
-// ran, one hits/misses pair per cached artifact kind.
-type CacheStats struct {
-	TrainingHits   int64 `json:"training_hits"`
-	TrainingMisses int64 `json:"training_misses"`
-	PolarisHits    int64 `json:"polaris_hits"`
-	PolarisMisses  int64 `json:"polaris_misses"`
-	SnapshotHits   int64 `json:"snapshot_hits"`
-	SnapshotMisses int64 `json:"snapshot_misses"`
-}
-
-// DirectionFor derives a figure's better-direction from its title. Latency
-// and speed-index figures want lower numbers; persistence, coverage, and
-// fraction-of-improvement figures want higher; anything unrecognized is
-// "both" so drift in either direction surfaces.
-func DirectionFor(title string) string {
-	t := strings.ToLower(title)
-	switch {
-	case strings.Contains(t, "plt") || strings.Contains(t, "speedindex") ||
-		strings.Contains(t, "(s)") || strings.Contains(t, "receipt-time"):
-		return "lower"
-	case strings.Contains(t, "persisting") || strings.Contains(t, "iou") ||
-		strings.Contains(t, "coverage") || strings.Contains(t, "improvement"):
-		return "higher"
-	default:
-		return "both"
-	}
-}
-
-// ParseGoBench extracts benchmark result lines from `go test -bench`
-// output. Lines that are not benchmark results (headers, PASS, ok) are
-// skipped; malformed metric fields skip just that field.
-func ParseGoBench(output string) []GoBench {
-	var out []GoBench
-	for _, line := range strings.Split(output, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		var b GoBench
-		b.Name = fields[0]
-		if _, err := fmt.Sscanf(fields[1], "%d", &b.Iterations); err != nil {
-			continue
-		}
-		for i := 2; i+1 < len(fields); i += 2 {
-			var v float64
-			if _, err := fmt.Sscanf(fields[i], "%g", &v); err != nil {
-				continue
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				b.NsPerOp = v
-			case "B/op":
-				b.BytesPerOp = v
-			case "allocs/op":
-				b.AllocsPerOp = v
-			}
-		}
-		if b.NsPerOp > 0 {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // Load reads and validates one artifact.

@@ -5,96 +5,22 @@ import (
 	"testing"
 )
 
+// sampleFile is the shape cmd/vroom-load writes: one storm figure of
+// per-class load times with the serving-side block.
 func sampleFile() *File {
 	return &File{
-		Schema: Schema, Scale: "quick", Seed: 2017, Faults: "none", Workers: 4,
-		Figures: []Figure{
-			{
-				ID: "fig01", Title: "Status-quo PLT CDFs (s)", Direction: "lower",
-				Series: []Series{
-					{Label: "h2 baseline", N: 6, Mean: 2.0, P25: 1.5, P50: 2.0, P75: 2.5, P95: 3.0},
-					{Label: "vroom", N: 6, Mean: 1.0, P25: 0.8, P50: 1.0, P75: 1.2, P95: 1.5},
-				},
+		Scale: "load", Seed: 11, Faults: "mild", Workers: 32, ElapsedMs: 5200,
+		Figures: []Figure{{
+			ID: "load-storm-plt", Title: "Storm PLT by client class (s)", ElapsedMs: 5200,
+			Series: []Series{
+				{Label: "all", N: 150, Mean: 2.0, P25: 1.5, P50: 2.0, P75: 2.5, P95: 3.0},
 			},
-			{
-				ID: "fig07", Title: "Fraction of resources persisting over time", Direction: "higher",
-				Series: []Series{
-					{Label: "1 day", N: 6, Mean: 0.9, P25: 0.85, P50: 0.9, P75: 0.95, P95: 0.99},
-				},
+			Notes: []string{"150 loads, 0 hung, 0 deadline-hit, 3 fetch retries"},
+			Server: &ServerStats{
+				QPS: 410, Requests: 2100, Shed: 12, ShedRate: 12.0 / 2112,
+				Origins: []OriginStats{{Origin: "www.dailynews00.com", Requests: 2100, HintsEmitted: 900}},
 			},
-		},
-	}
-}
-
-func TestCompareIdentical(t *testing.T) {
-	a, b := sampleFile(), sampleFile()
-	deltas, err := Compare(a, b, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(deltas); len(regs) != 0 {
-		t.Fatalf("identical artifacts produced regressions: %v", regs)
-	}
-	if len(deltas) != 3 {
-		t.Fatalf("got %d deltas, want 3", len(deltas))
-	}
-}
-
-func TestComparePLTRegression(t *testing.T) {
-	a, b := sampleFile(), sampleFile()
-	// Doctor a 20% PLT regression into the vroom series.
-	b.Figures[0].Series[1].P50 *= 1.20
-	deltas, err := Compare(a, b, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(deltas)
-	if len(regs) != 1 || regs[0].Label != "vroom" {
-		t.Fatalf("20%% PLT regression not flagged: %v", deltas)
-	}
-	// A 20% PLT *improvement* must not flag on a lower-better figure.
-	c := sampleFile()
-	c.Figures[0].Series[1].P50 *= 0.80
-	deltas, err = Compare(a, c, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(deltas); len(regs) != 0 {
-		t.Fatalf("PLT improvement flagged as regression: %v", regs)
-	}
-}
-
-func TestCompareHigherBetter(t *testing.T) {
-	a, b := sampleFile(), sampleFile()
-	b.Figures[1].Series[0].P50 = 0.70 // persistence fell from 0.9
-	deltas, err := Compare(a, b, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(deltas)
-	if len(regs) != 1 || regs[0].FigureID != "fig07" {
-		t.Fatalf("persistence drop not flagged: %v", deltas)
-	}
-}
-
-func TestCompareCoverageLoss(t *testing.T) {
-	a, b := sampleFile(), sampleFile()
-	b.Figures = b.Figures[:1]                     // drop fig07
-	b.Figures[0].Series = b.Figures[0].Series[:1] // drop the vroom series
-	deltas, err := Compare(a, b, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(deltas); len(regs) != 2 {
-		t.Fatalf("lost figure + lost series should be 2 regressions, got %v", regs)
-	}
-}
-
-func TestCompareCorpusMismatch(t *testing.T) {
-	a, b := sampleFile(), sampleFile()
-	b.Scale = "full"
-	if _, err := Compare(a, b, 0.10); err == nil {
-		t.Fatal("corpus mismatch not rejected")
+		}},
 	}
 }
 
@@ -107,57 +33,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != Schema || len(got.Figures) != 2 || got.Figures[0].Series[1].P50 != 1.0 {
+	if got.Schema != Schema || len(got.Figures) != 1 || got.Figures[0].Series[0].P50 != 2.0 ||
+		got.Figures[0].Server == nil || got.Figures[0].Server.Origins[0].HintsEmitted != 900 {
 		t.Fatalf("round trip mangled the artifact: %+v", got)
 	}
-	// A wrong-schema artifact must be rejected, not silently compared.
+	// Save stamps the current schema over whatever the caller set.
 	bad := sampleFile()
 	bad.Schema = "vroom-bench/v0"
 	badPath := filepath.Join(t.TempDir(), "bad.json")
 	if err := Save(badPath, bad); err != nil {
 		t.Fatal(err)
 	}
-	// Save stamps the current schema; corrupt it on disk instead.
 	f, err := Load(badPath)
 	if err != nil || f.Schema != Schema {
 		t.Fatalf("Save must stamp the schema: %v %v", f, err)
-	}
-}
-
-func TestParseGoBench(t *testing.T) {
-	out := `goos: linux
-goarch: amd64
-pkg: vroom/internal/wire
-BenchmarkWireTracerOverhead/nil-8         	57735362	        20.30 ns/op	       0 B/op	       0 allocs/op
-BenchmarkWireTracerOverhead/enabled-8     	 2661445	       447.2 ns/op	     136 B/op	       4 allocs/op
-PASS
-ok  	vroom/internal/wire	3.1s
-`
-	got := ParseGoBench(out)
-	if len(got) != 2 {
-		t.Fatalf("parsed %d results, want 2: %+v", len(got), got)
-	}
-	if got[0].Name != "BenchmarkWireTracerOverhead/nil-8" || got[0].NsPerOp != 20.30 ||
-		got[0].AllocsPerOp != 0 || got[0].Iterations != 57735362 {
-		t.Errorf("first result mangled: %+v", got[0])
-	}
-	if got[1].BytesPerOp != 136 || got[1].AllocsPerOp != 4 {
-		t.Errorf("second result mangled: %+v", got[1])
-	}
-}
-
-func TestDirectionFor(t *testing.T) {
-	cases := map[string]string{
-		"Status-quo PLT CDFs (s)":                                         "lower",
-		"Main result: PLT / AFT / SpeedIndex":                             "lower",
-		"Fraction of resources persisting over time":                      "higher",
-		"Stable-set IoU vs a Nexus-6-class phone":                         "higher",
-		"Discovery / fetch-completion improvement over HTTP/2 (fraction)": "higher",
-		"Something else entirely":                                         "both",
-	}
-	for title, want := range cases {
-		if got := DirectionFor(title); got != want {
-			t.Errorf("DirectionFor(%q) = %q, want %q", title, got, want)
-		}
 	}
 }

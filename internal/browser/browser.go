@@ -157,9 +157,6 @@ type Load struct {
 	// via names the resource whose processing is currently discovering
 	// references, so discovery events carry dependency edges.
 	via string
-
-	// OnFinish, when set, fires once when the load completes.
-	OnFinish func()
 }
 
 type paintEvent struct {
@@ -219,9 +216,9 @@ func (p RetryPolicy) maxAttempts() int {
 	return p.MaxAttempts
 }
 
-// backoff returns the delay before the given retry (attempt counts the
+// Backoff returns the delay before the given retry (attempt counts the
 // tries already made, so the first retry sees attempt == 1).
-func (p RetryPolicy) backoff(attempt int) time.Duration {
+func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	d := p.BaseBackoff
 	if d <= 0 {
 		d = 250 * time.Millisecond
@@ -449,7 +446,7 @@ func (l *Load) onFetchFailed(e *Entry, reason string) {
 	}
 	if e.Required && e.attempts < l.Cfg.Retry.maxAttempts() {
 		l.retries++
-		delay := l.Cfg.Retry.backoff(e.attempts)
+		delay := l.Cfg.Retry.Backoff(e.attempts)
 		if tr := l.Cfg.Trace; tr.Enabled() {
 			now := l.Eng.Now()
 			tr.BeginAt(now, obs.TrackLoad, "backoff:"+e.URL.String(),
@@ -652,9 +649,6 @@ func (l *Load) checkFinished() {
 		}
 		l.finished = true
 		l.finishedAt = l.Eng.Now()
-		if l.OnFinish != nil {
-			l.OnFinish()
-		}
 	})
 }
 

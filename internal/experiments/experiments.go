@@ -68,14 +68,6 @@ func QuickOptions() Options {
 	return o
 }
 
-// WithCaches supplies the shared offline-work cache set fill() would
-// otherwise create, so a driver (cmd/vroom-bench) can read hit/miss
-// statistics with runner.Caches.Stats after the figure completes.
-func (o Options) WithCaches(c *runner.Caches) Options {
-	o.caches = c
-	return o
-}
-
 func (o Options) fill() Options {
 	if o.Time.IsZero() {
 		o.Time = time.Date(2017, 8, 21, 12, 0, 0, 0, time.UTC)
@@ -190,20 +182,9 @@ func forEachSite(sites []*webpage.Site, workers int, fn func(i int, s *webpage.S
 	if workers < 1 {
 		workers = 1
 	}
-	sweepStart := time.Now()
-	defer func() {
-		pool.capacityNs.Add(int64(workers) * int64(time.Since(sweepStart)))
-	}()
-	timed := func(i int, s *webpage.Site) error {
-		t0 := time.Now()
-		err := fn(i, s)
-		pool.busyNs.Add(int64(time.Since(t0)))
-		pool.sites.Add(1)
-		return err
-	}
 	if workers == 1 {
 		for i, s := range sites {
-			if err := timed(i, s); err != nil {
+			if err := fn(i, s); err != nil {
 				return err
 			}
 		}
@@ -223,7 +204,7 @@ func forEachSite(sites []*webpage.Site, workers int, fn func(i int, s *webpage.S
 				if i >= len(sites) {
 					return
 				}
-				errs[i] = timed(i, sites[i])
+				errs[i] = fn(i, sites[i])
 			}
 		}()
 	}

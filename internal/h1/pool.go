@@ -24,12 +24,11 @@ type Pool struct {
 	Authority string
 	Dial      func() (net.Conn, error)
 
-	// Trace, when non-nil, records exchange spans on Track (defaults to
-	// obs.TrackNet). Metrics, when non-nil, feeds exchange latency into
+	// Trace, when non-nil, records exchange spans on obs.TrackNet.
+	// Metrics, when non-nil, feeds exchange latency into
 	// the shared fetch-phase histogram and a per-origin connection gauge.
 	// Set both before the first round trip.
 	Trace   *obs.Tracer
-	Track   string
 	Metrics *telemetry.Registry
 
 	mu      sync.Mutex
@@ -56,14 +55,6 @@ func (p *Pool) instruments() {
 	p.exchMs = p.Metrics.Histogram("vroom_wire_fetch_phase_ms", telemetry.L("phase", "exchange"))
 	p.gConns = p.Metrics.Gauge("vroom_wire_active_conns",
 		telemetry.L("origin", "https://"+p.Authority), telemetry.L("proto", "h1"))
-}
-
-// traceTrack returns the tracer track exchanges are recorded on.
-func (p *Pool) traceTrack() string {
-	if p.Track != "" {
-		return p.Track
-	}
-	return obs.TrackNet
 }
 
 type poolConn struct {
@@ -126,7 +117,7 @@ func (p *Pool) RoundTripTimeout(req *h2.Request, header, stall time.Duration) (*
 				// cross-process timeline by its fetch's flow ID.
 				args = append(args, obs.Arg{Key: obs.ArgFlow, Val: vals[0]})
 			}
-			sp = p.Trace.Begin(p.traceTrack(), "exchange", args...)
+			sp = p.Trace.Begin(obs.TrackNet, "exchange", args...)
 		}
 	}
 	var timedOut atomic.Bool
@@ -287,7 +278,7 @@ func (p *Pool) discard(pc *poolConn) {
 	p.gConns.Set(int64(p.total))
 	p.mu.Unlock()
 	if p.Trace.Enabled() {
-		p.Trace.Instant(p.traceTrack(), "conn-discarded", obs.Arg{Key: "origin", Val: p.Authority})
+		p.Trace.Instant(obs.TrackNet, "conn-discarded", obs.Arg{Key: "origin", Val: p.Authority})
 	}
 	if next != nil {
 		// Open a replacement for the waiter.

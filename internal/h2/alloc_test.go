@@ -123,8 +123,9 @@ func TestControlFrameWritesZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkFrameReadWrite measures the frame hot path: reuse-mode reads of
-// a mixed frame stream plus a write per frame. Tracked in BENCH_8.json;
-// the alloc figure is the one the zero-alloc tests pin.
+// a mixed frame stream plus a write per frame. The repository benchmark's
+// h2.frame_write_read_ns row times the same path end to end; the alloc
+// figure is the one the zero-alloc tests pin.
 func BenchmarkFrameReadWrite(b *testing.B) {
 	wire := benchFrames(b)
 	src := &rewindReader{data: wire}

@@ -74,9 +74,10 @@ type Server struct {
 	// Serve.
 	Metrics *telemetry.Registry
 
-	mu    sync.Mutex
-	conns map[*serverConn]struct{}
-	done  bool
+	mu      sync.Mutex
+	conns   map[*serverConn]struct{}
+	done    bool
+	serving bool // Serve was called
 
 	gConns   *telemetry.Gauge
 	gStreams *telemetry.Gauge
@@ -106,6 +107,9 @@ func (s *Server) instruments() {
 
 // Serve accepts connections until the listener closes.
 func (s *Server) Serve(l net.Listener) error {
+	s.mu.Lock()
+	s.serving = true
+	s.mu.Unlock()
 	for {
 		nc, err := l.Accept()
 		if err != nil {
@@ -154,9 +158,14 @@ func (s *Server) Close() {
 // classify as safely retryable elsewhere — and in-flight handlers get up to
 // timeout to finish before the connections close. The caller closes its
 // listener; Drain marks the server done so Serve returns nil when it does.
+// A server that never served has nothing to drain and records nothing.
 func (s *Server) Drain(timeout time.Duration) {
 	s.mu.Lock()
 	s.done = true
+	if !s.serving {
+		s.mu.Unlock()
+		return
+	}
 	s.instruments()
 	conns := make([]*serverConn, 0, len(s.conns))
 	for sc := range s.conns {

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"vroom/internal/browser"
 	"vroom/internal/h1"
 	"vroom/internal/obs"
 	"vroom/internal/telemetry"
@@ -287,7 +288,7 @@ func Run(cfg Config) *Result {
 
 // stormRetry is every client's per-fetch retry policy: three attempts with
 // fast backoff, enough to ride out shed 503s and a restart.
-var stormRetry = wire.RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
+var stormRetry = browser.RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 
 // runOne performs a single page load for one class under the hang watchdog.
 func runOne(cfg Config, idx int, cl ClientClass, root urlutil.URL) Sample {

@@ -84,8 +84,8 @@ type Caches struct {
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness, one
-// hit/miss pair per cached artifact kind. cmd/vroom-bench records it into
-// the benchmark JSON so CI can watch redundant-recomputation creep.
+// hit/miss pair per cached artifact kind. The repository benchmark reports
+// it as runner.caches_hit_share, so redundant recomputation shows.
 type CacheStats struct {
 	TrainingHits, TrainingMisses int64
 	PolarisHits, PolarisMisses   int64

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vroom/internal/browser"
 	"vroom/internal/faults"
 	"vroom/internal/h1"
 	"vroom/internal/netem"
@@ -70,19 +71,14 @@ func chaosLoad(t *testing.T, proto string, seed int64, inject bool) (*Report, []
 		DownlinkBytesPerSec: 50e6,
 		UplinkBytesPerSec:   50e6,
 	})
-	var h1srv *h1.Server
 	if proto == "h1" {
-		h1srv = &h1.Server{Handler: srv}
-		go h1srv.Serve(link)
+		go srv.H1().Serve(link)
 	} else {
 		go srv.H2().Serve(link)
 	}
 	defer func() {
-		if h1srv != nil {
-			h1srv.Close()
-		} else {
-			srv.H2().Close()
-		}
+		srv.H1().Close()
+		srv.H2().Close()
 		link.Close()
 	}()
 
@@ -92,7 +88,7 @@ func chaosLoad(t *testing.T, proto string, seed int64, inject bool) (*Report, []
 		HeaderTimeout: 300 * time.Millisecond,
 		StallTimeout:  300 * time.Millisecond,
 		LoadDeadline:  chaosDeadline,
-		Retry:         RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
+		Retry:         browser.RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 	}
 	dial := func(origin string) (net.Conn, error) {
 		if shim != nil {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vroom/internal/browser"
 	"vroom/internal/core"
 	"vroom/internal/h2"
 	"vroom/internal/hints"
@@ -119,32 +120,18 @@ type OriginConn interface {
 // (h1.Pool); the client never evicts those.
 type selfHealing interface{ SelfHealing() bool }
 
-// RetryPolicy bounds replay of failed idempotent fetches with capped
-// exponential backoff.
-type RetryPolicy struct {
-	// MaxAttempts caps tries per URL (first attempt included). Default 3.
-	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry, doubling each retry
-	// up to MaxBackoff. Defaults 250ms and 4s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-}
-
-func (p RetryPolicy) backoff(attempt int) time.Duration {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 4 * time.Second
-	}
-	d := base << (attempt - 1)
-	if d <= 0 || d > max {
-		d = max
-	}
-	return d
-}
+// Per-load bounds on a broken world.
+const (
+	// retryBudget caps total retries across the load, so a broken world
+	// cannot multiply traffic.
+	retryBudget = 16
+	// breakerThreshold trips an origin's circuit breaker after that many
+	// consecutive failures: further fetches fail fast instead of burning
+	// timeouts.
+	breakerThreshold = 4
+	// redirectHops caps how many 3xx hops one fetch follows.
+	redirectHops = 5
+)
 
 // Client loads pages over real connections, one transport per origin,
 // using either Vroom's staged scheduling or plain fetch-on-discovery.
@@ -175,16 +162,10 @@ type Client struct {
 	StallTimeout  time.Duration
 	LoadDeadline  time.Duration
 
-	// Retry governs per-URL replay; RetryBudget caps total retries across
-	// the load (default 16) so a broken world cannot multiply traffic.
-	Retry       RetryPolicy
-	RetryBudget int
-	// BreakerThreshold trips an origin's circuit breaker after that many
-	// consecutive failures: further fetches fail fast instead of burning
-	// timeouts. Default 4; negative disables.
-	BreakerThreshold int
-	// RedirectHops caps how many 3xx hops one fetch follows. Default 5.
-	RedirectHops int
+	// Retry governs per-URL replay of failed idempotent fetches; unset
+	// fields take browser.DefaultRetryPolicy's (3 attempts, 250ms first
+	// backoff, 4s cap). Across the load, retries stop at retryBudget.
+	Retry browser.RetryPolicy
 
 	// Trace, when non-nil, records the load lifecycle on the wall clock:
 	// per-fetch spans with outcome args, dial spans, backoff waits, retry
@@ -336,29 +317,21 @@ func (c *Client) loadDeadline() time.Duration {
 	}
 	return 2 * time.Minute
 }
-func (c *Client) maxAttempts() int {
-	if c.Retry.MaxAttempts > 0 {
-		return c.Retry.MaxAttempts
+
+// retry returns c.Retry with each unset field filled from
+// browser.DefaultRetryPolicy.
+func (c *Client) retry() browser.RetryPolicy {
+	p, def := c.Retry, browser.DefaultRetryPolicy()
+	if p.MaxAttempts <= 0 {
+		p.MaxAttempts = def.MaxAttempts
 	}
-	return 3
-}
-func (c *Client) retryBudget() int {
-	if c.RetryBudget > 0 {
-		return c.RetryBudget
+	if p.BaseBackoff <= 0 {
+		p.BaseBackoff = def.BaseBackoff
 	}
-	return 16
-}
-func (c *Client) breakerThreshold() int {
-	if c.BreakerThreshold != 0 {
-		return c.BreakerThreshold
+	if p.MaxBackoff <= 0 {
+		p.MaxBackoff = def.MaxBackoff
 	}
-	return 4
-}
-func (c *Client) redirectHops() int {
-	if c.RedirectHops > 0 {
-		return c.RedirectHops
-	}
-	return 5
+	return p
 }
 
 // LoadPage fetches the page rooted at root and reports per-resource
@@ -689,9 +662,9 @@ func (c *Client) doFetch(u urlutil.URL, fl *inflightFetch) (*h2.Response, fetchO
 			out.finalURL = cur
 			return resp, out
 		}
-		if hops >= c.redirectHops() {
+		if hops >= redirectHops {
 			return nil, fetchOutcome{
-				err:    fmt.Errorf("wire: %s: more than %d redirect hops", u, c.redirectHops()),
+				err:    fmt.Errorf("wire: %s: more than %d redirect hops", u, redirectHops),
 				kind:   FetchRedirect,
 				status: resp.Status, redirects: hops, degraded: degraded,
 			}
@@ -785,7 +758,7 @@ func (c *Client) fetchOne(u urlutil.URL, fl *inflightFetch) (*h2.Response, fetch
 					obs.Arg{Key: "url", Val: u.String()},
 					obs.Arg{Key: "attempt", Val: strconv.Itoa(attempt)})
 			}
-			ok := c.sleepBackoff(c.Retry.backoff(attempt))
+			ok := c.sleepBackoff(c.retry().Backoff(attempt))
 			bs.End()
 			if !ok {
 				return nil, fetchOutcome{err: errLoadOver, kind: FetchDeadline, degraded: degraded}
@@ -814,7 +787,7 @@ func (c *Client) fetchOne(u urlutil.URL, fl *inflightFetch) (*h2.Response, fetch
 				return nil, last
 			}
 		}
-		if attempt+1 >= c.maxAttempts() {
+		if attempt+1 >= c.retry().MaxAttempts {
 			return nil, last
 		}
 	}
@@ -824,7 +797,7 @@ func (c *Client) fetchOne(u urlutil.URL, fl *inflightFetch) (*h2.Response, fetch
 func (c *Client) takeRetryToken(fl *inflightFetch) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.finished || c.retriesUsed >= c.retryBudget() {
+	if c.finished || c.retriesUsed >= retryBudget {
 		return false
 	}
 	c.retriesUsed++
@@ -858,7 +831,7 @@ func (c *Client) attempt(u urlutil.URL, fl *inflightFetch) (*h2.Response, error)
 		return resp, nil
 	}
 	os := c.originState(origin)
-	if th := c.breakerThreshold(); th > 0 && os.fails >= th {
+	if os.fails >= breakerThreshold {
 		c.mu.Unlock()
 		return nil, breakerOpenError{origin: origin}
 	}
@@ -1095,7 +1068,7 @@ func (c *Client) noteConnFailure(origin string, cc OriginConn, err error) {
 	c.mu.Lock()
 	os := c.originState(origin)
 	os.fails++
-	if th := c.breakerThreshold(); th > 0 && os.fails == th {
+	if os.fails == breakerThreshold {
 		tripped = true
 		os.mBreaker.Set(1)
 	}

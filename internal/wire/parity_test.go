@@ -69,9 +69,8 @@ func fetchOver(t *testing.T, proto string, srv *Server, req *h2.Request) *h2.Res
 	var err error
 	switch proto {
 	case "h1":
-		hs := &h1.Server{Handler: srv}
-		go hs.Serve(link)
-		defer hs.Close()
+		go srv.H1().Serve(link)
+		defer srv.H1().Close()
 		p := &h1.Pool{Authority: req.Authority, Dial: link.Dial}
 		defer p.Close()
 		resp, err = p.RoundTrip(req)

@@ -17,6 +17,7 @@ import (
 
 	"vroom/internal/core"
 	"vroom/internal/faults"
+	"vroom/internal/h1"
 	"vroom/internal/h2"
 	"vroom/internal/hints"
 	"vroom/internal/hintstore"
@@ -107,6 +108,7 @@ type Server struct {
 	// zero cost. Set before Serve.
 	Acct *Accountant
 
+	h1srv *h1.Server
 	h2srv *h2.Server
 
 	mu     sync.Mutex
@@ -140,14 +142,19 @@ type Server struct {
 func NewServer(a *replay.Archive, resolver *core.Resolver, device webpage.DeviceClass, cfg ServerConfig) *Server {
 	s := &Server{Archive: a, Resolver: resolver, Device: device, Cfg: cfg,
 		pushed: make(map[string]bool), redirects: make(map[string]string)}
-	// The transport refuses streams outright (REFUSED_STREAM — retryable)
-	// once the gate could only shed them anyway; cheaper than spending a
-	// handler goroutine to say 503. Saturated is nil-gate safe.
-	s.h2srv = &h2.Server{Handler: s, Overloaded: func() bool { return s.Gate.Saturated() }}
+	// Both transports refuse work outright (h2 REFUSED_STREAM, h1 503 —
+	// both retryable) once the gate could only shed it anyway; cheaper than
+	// running the handler to say 503. Saturated is nil-gate safe.
+	saturated := func() bool { return s.Gate.Saturated() }
+	s.h1srv = &h1.Server{Handler: s, Overloaded: saturated}
+	s.h2srv = &h2.Server{Handler: s, Overloaded: saturated}
 	return s
 }
 
-// H2 exposes the underlying HTTP/2 server for Serve/Close.
+// H1 exposes the HTTP/1.1 transport for Serve/Close.
+func (s *Server) H1() *h1.Server { return s.h1srv }
+
+// H2 exposes the HTTP/2 transport for Serve/Close.
 func (s *Server) H2() *h2.Server { return s.h2srv }
 
 // Instrument attaches tracing and metrics to the server and its HTTP/2
@@ -391,16 +398,19 @@ func (s *Server) noteFault(kind, url string, st *serveTrace) {
 }
 
 // Drain gracefully shuts the serving path down: the admission gate sheds
-// its queue and refuses new work, the HTTP/2 side sends GOAWAY on every
-// connection (in-flight streams get up to timeout to finish, new streams
-// are refused retryably), and the hint store cancels in-flight retraining
-// and checkpoints every shard. The caller closes its listener. The returned
-// checkpoints are nil when no store is attached.
+// its queue and refuses new work; the transport that served lets in-flight
+// exchanges finish within timeout (h2 sends GOAWAY and refuses new streams
+// retryably, h1 answers with "connection: close" and cuts idle
+// connections), while one that never served records nothing; the
+// accountant flushes its open windows; and the hint store cancels
+// in-flight retraining and checkpoints every shard. The caller closes its
+// listener. The returned checkpoints are nil when no store is attached.
 func (s *Server) Drain(timeout time.Duration) []hintstore.Checkpoint {
 	if s.Log != nil {
 		s.Log.Info("drain started", "timeout", timeout)
 	}
 	s.Gate.Drain()
+	s.h1srv.Drain(timeout)
 	s.h2srv.Drain(timeout)
 	if n := s.Acct.Flush(); n > 0 && s.Log != nil {
 		s.Log.Debug("accounting flushed", "windows", n)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"vroom/internal/browser"
 	"vroom/internal/faults"
 	"vroom/internal/netem"
 	"vroom/internal/obs"
@@ -60,7 +61,7 @@ func telemetryLoad(t *testing.T, seed int64) (*Report, *obs.Recording, *telemetr
 		HeaderTimeout: 300 * time.Millisecond,
 		StallTimeout:  300 * time.Millisecond,
 		LoadDeadline:  chaosDeadline,
-		Retry:         RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
+		Retry:         browser.RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 		Trace:         tr,
 		Metrics:       reg,
 	}

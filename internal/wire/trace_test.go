@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vroom/internal/browser"
 	"vroom/internal/netem"
 	"vroom/internal/obs"
 	"vroom/internal/overload"
@@ -29,7 +30,7 @@ type traceWorld struct {
 	root   urlutil.URL
 }
 
-func newTraceWorld(t *testing.T, gate *overload.Gate, cfg ServerConfig, retry RetryPolicy) *traceWorld {
+func newTraceWorld(t *testing.T, gate *overload.Gate, cfg ServerConfig, retry browser.RetryPolicy) *traceWorld {
 	t.Helper()
 	site := webpage.NewSite("tracewire", webpage.News, 2017)
 	sn := site.Snapshot(recordTime, webpage.Profile{Device: webpage.PhoneSmall, UserID: 5}, 1)
@@ -100,7 +101,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	// Enough slots that one staged load never fills the gate: at 64 it did
 	// on some runs, the ladder shed every push and no push-write span existed.
 	gate := overload.NewGate(overload.Config{MaxConcurrent: 1024, MaxQueue: 64, MaxWait: time.Second})
-	w := newTraceWorld(t, gate, ServerConfig{SendHints: true, Push: true}, RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
+	w := newTraceWorld(t, gate, ServerConfig{SendHints: true, Push: true}, browser.RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
 
 	rep, err := w.client.LoadPage(w.root)
 	if err != nil {
@@ -157,7 +158,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 func TestDrainMidLoadTraceComplete(t *testing.T) {
 	gate := overload.NewGate(overload.Config{MaxConcurrent: 64, MaxQueue: 64, MaxWait: time.Second})
 	w := newTraceWorld(t, gate, ServerConfig{SendHints: true, Push: true, ThinkTime: 100 * time.Millisecond},
-		RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+		browser.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
 	w.client.LoadDeadline = 10 * time.Second
 
 	done := make(chan *Report, 1)
@@ -216,7 +217,7 @@ func TestDrainMidLoadTraceComplete(t *testing.T) {
 // count must equal the server's shed counter exactly.
 func TestShedCrossCheck(t *testing.T) {
 	gate := overload.NewGate(overload.Config{MaxConcurrent: 1, MaxQueue: 1, MaxWait: time.Millisecond})
-	w := newTraceWorld(t, gate, ServerConfig{SendHints: true}, RetryPolicy{MaxAttempts: 1})
+	w := newTraceWorld(t, gate, ServerConfig{SendHints: true}, browser.RetryPolicy{MaxAttempts: 1})
 
 	rep, err := w.client.LoadPage(w.root)
 	if err != nil {

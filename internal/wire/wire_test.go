@@ -8,6 +8,7 @@ import (
 	"vroom/internal/h1"
 	"vroom/internal/h2"
 	"vroom/internal/hints"
+	"vroom/internal/hintstore"
 	"vroom/internal/netem"
 	"vroom/internal/replay"
 	"vroom/internal/telemetry"
@@ -163,9 +164,8 @@ func TestHTTP1WireLoad(t *testing.T) {
 	srv := NewServer(archive, nil, webpage.PhoneSmall, ServerConfig{})
 
 	link := netem.Listen(netem.LinkConfig{Delay: time.Millisecond, DownlinkBytesPerSec: 50e6, UplinkBytesPerSec: 50e6})
-	h1srv := &h1.Server{Handler: srv}
-	go h1srv.Serve(link)
-	defer func() { h1srv.Close(); link.Close() }()
+	go srv.H1().Serve(link)
+	defer func() { srv.H1().Close(); link.Close() }()
 
 	c := &Client{DialOrigin: func(origin string) (OriginConn, error) {
 		u, err := urlutil.Parse(origin + "/")
@@ -192,6 +192,60 @@ func TestHTTP1WireLoad(t *testing.T) {
 		if f.Pushed {
 			t.Errorf("HTTP/1.1 load reported a push: %s", f.URL)
 		}
+	}
+}
+
+// TestHTTP1Drain serves a document through srv.H1() with a store and an
+// accountant attached, then drains. Nothing fetches the hinted resources
+// and nothing expires within the hour-long window, so only the drain's
+// accountant flush can settle the hint windows; the store must hand back
+// one checkpoint per tenant.
+func TestHTTP1Drain(t *testing.T) {
+	site := webpage.NewSite("h1drain", webpage.News, 2017)
+	sn := site.Snapshot(recordTime, webpage.Profile{Device: webpage.PhoneSmall, UserID: 5}, 1)
+	archive := replay.FromSnapshot(sn)
+	resolver := TrainResolver(site, recordTime, webpage.PhoneSmall)
+	srv := NewServer(archive, resolver, webpage.PhoneSmall, ServerConfig{SendHints: true})
+	st := hintstore.New(hintstore.Config{TTL: time.Hour})
+	hosts := map[string]bool{}
+	for _, rec := range archive.Records {
+		if u, err := rec.ParsedURL(); err == nil && !hosts[u.Host] {
+			hosts[u.Host] = true
+			if err := st.Register(u.Host, webpage.PhoneSmall, hintstore.StaticTrainer(resolver)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	srv.Store = st
+	srv.Acct = NewAccountant(AccountingConfig{Store: st, Window: time.Hour})
+
+	link := netem.Listen(netem.LinkConfig{Delay: time.Millisecond})
+	go srv.H1().Serve(link)
+	defer link.Close()
+	root := site.RootURL()
+	pool := &h1.Pool{Authority: root.Host, Dial: link.Dial}
+	defer pool.Close()
+	resp, err := pool.RoundTrip(&h2.Request{Method: "GET", Scheme: "https", Authority: root.Host, Path: root.Path})
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("document over h1: %v %+v", err, resp)
+	}
+
+	settled := func() (emitted, unused int64) {
+		for _, q := range st.QualityAll() {
+			emitted += q.HintsEmitted
+			unused += q.HintsUnused
+		}
+		return emitted, unused
+	}
+	if emitted, unused := settled(); emitted == 0 || unused != 0 {
+		t.Fatalf("before drain: %d hints emitted, %d settled unused; want some emitted and none settled", emitted, unused)
+	}
+	cps := srv.Drain(time.Second)
+	if emitted, unused := settled(); unused != emitted {
+		t.Errorf("after drain: %d of %d hints settled unused, want all: the accountant was not flushed", unused, emitted)
+	}
+	if len(cps) != len(hosts) {
+		t.Errorf("drain returned %d checkpoints, want one per tenant (%d)", len(cps), len(hosts))
 	}
 }
 

@@ -16,8 +16,8 @@ package vroom_test
 //
 //   - unreachable: declarations, methods and struct fields nothing reachable
 //     refers to (members of an unreachable type are folded into the type);
-//   - knob: fields of *Config/*Options/*Policy structs that reachable code
-//     reads but no non-test code writes, so each has exactly one value.
+//   - knob: exported fields of exported structs that reachable code reads
+//     but no non-test code writes, so each has exactly one value.
 //
 // TestReachability compares both lists with testdata/unreachable.txt. The
 // file builds without -race: the audit is single-threaded and deterministic,
@@ -67,7 +67,7 @@ type auditNode struct {
 	owner  types.Object // enclosing type for methods and fields, else nil
 	refs   []types.Object
 	report bool // false under benchmark/, for blanks, init and main
-	knob   bool // a field of a *Config/*Options/*Policy struct
+	knob   bool // an exported field of an exported struct
 	exempt bool // a field read by reflection or contributing methods
 }
 
@@ -239,10 +239,7 @@ func (a *auditor) declare(p *auditPackage) {
 						if isRoot(s.Name.Name) {
 							a.roots = append(a.roots, obj)
 						}
-						a.declareFields(p, s.Type, prefix+"."+s.Name.Name, obj, bench,
-							strings.HasSuffix(s.Name.Name, "Config") ||
-								strings.HasSuffix(s.Name.Name, "Options") ||
-								strings.HasSuffix(s.Name.Name, "Policy"))
+						a.declareFields(p, s.Type, prefix+"."+s.Name.Name, obj, bench, ast.IsExported(s.Name.Name))
 					}
 				}
 			}
@@ -265,7 +262,7 @@ func (a *auditor) declareFields(p *auditPackage, expr ast.Expr, prefix string, o
 				name:   prefix + "." + f.Name(),
 				owner:  owner,
 				report: !bench && f.Name() != "_",
-				knob:   knobs && st == expr,
+				knob:   knobs && st == expr && f.Exported(),
 				exempt: s.Tag(i) != "" || (f.Embedded() && hasMethods(f.Type())),
 			}
 		}
@@ -350,7 +347,8 @@ func (a *auditor) collectInterfaces(p *auditPackage) {
 }
 
 // collectWrites marks every struct field p's code assigns, increments,
-// takes the address of, or sets in a composite literal.
+// takes the address of (a pointer-receiver method call on it included), or
+// sets in a composite literal.
 func (a *auditor) collectWrites(p *auditPackage) {
 	var write func(e ast.Expr)
 	write = func(e ast.Expr) {
@@ -385,6 +383,15 @@ func (a *auditor) collectWrites(p *auditPackage) {
 			case *ast.UnaryExpr:
 				if x.Op == token.AND {
 					write(x.X)
+				}
+			case *ast.CallExpr:
+				fun, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+				if sel := p.info.Selections[fun]; ok && sel != nil && sel.Kind() == types.MethodVal {
+					_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+					_, ptrOperand := p.info.TypeOf(fun.X).Underlying().(*types.Pointer)
+					if ptrRecv && !ptrOperand {
+						write(fun.X)
+					}
 				}
 			case *ast.CompositeLit:
 				s := structOf(p.info.TypeOf(x))
@@ -665,11 +672,12 @@ func TestReachability(t *testing.T) {
 }
 
 // TestReachabilityFixture runs the audit over a module that plants exactly
-// four findings among the patterns it must exempt.
+// five findings among the patterns it must exempt.
 func TestReachabilityFixture(t *testing.T) {
 	got := auditModule(t, filepath.Join("testdata", "reach"))
 	want := []string{
 		"knob lib.Config.Unset",
+		"knob lib.Stats.Hits",
 		"unreachable lib.dead",
 		"unreachable lib.helperOfDead",
 		"unreachable lib.testOnly",

@@ -1,11 +1,13 @@
-// Package lib plants four findings for the reachability audit (a dead
-// function, the helper only it calls, a function only a test calls, and a
-// Config field nothing writes) among patterns the audit must exempt.
+// Package lib plants five findings for the reachability audit (a dead
+// function, the helper only it calls, a function only a test calls, a
+// Config field nothing writes, and a field of a plain struct nothing
+// writes) among patterns the audit must exempt.
 package lib
 
 import (
 	"encoding/json"
 	"errors"
+	"sync/atomic"
 )
 
 // Config's Unset is read below but written nowhere: a knob. Name is
@@ -14,6 +16,14 @@ type Config struct {
 	Set   int
 	Unset int
 	Name  string `json:"name"`
+}
+
+// Stats is a plain exported struct. Hits is read but written nowhere: a
+// knob. Calls is written only through its pointer-receiver Add, which
+// counts as a write.
+type Stats struct {
+	Hits  int
+	Calls atomic.Int64
 }
 
 // Queue implements heap.Interface; only container/heap calls its methods.
@@ -70,7 +80,9 @@ func Run(c Config) int {
 	}
 	seen := map[cell]int{}
 	seen[cell{1, 2}]++
-	return o.n + seen[cell{1, 2}]
+	var s Stats
+	s.Calls.Add(1)
+	return o.n + seen[cell{1, 2}] + s.Hits
 }
 
 func dead() int { return helperOfDead() }
