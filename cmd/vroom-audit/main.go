@@ -1,21 +1,19 @@
-// vroom-audit distills a load run's observability exhaust into a
-// per-origin hint-efficacy report: precision, recall, wasted push bytes,
-// push lead time, and hint-table staleness per tenant, plus the server's
-// runtime vitals, cross-checked against the storm's merged trace and
-// flight-recorder dumps.
+// vroom-audit audits a vroom-server's /metrics, offline or live, and gates
+// the result: a per-origin hint-efficacy report (precision, recall, wasted
+// push bytes, push lead time, hint-table staleness per tenant) plus the
+// serving figures (shed share, hint-lookup latency, degradation modes,
+// cold-start recovery) and the server's runtime vitals. The report is the
+// scrape part of the vroom-audit/v1 storm report vroom-load -json-out
+// writes, which adds the storm, trace and flight blocks.
 //
-// Usage, offline (the usual CI shape — vroom-load wrote the inputs):
+// Usage, offline (the usual CI shape — vroom-load -scrape-out wrote the
+// series):
 //
-//	vroom-audit -scrapes storm-scrapes.json -trace storm.json \
-//	    -flight-dir flight/ -json-out audit.json
+//	vroom-audit -scrapes storm-scrapes.json -json-out audit.json
 //
 // or live, against a running vroom-server:
 //
 //	vroom-audit -scrape http://127.0.0.1:9090/metrics
-//
-// With -bench the efficacy block is also folded into an existing
-// vroom-bench/v1 artifact's Server stats (in place, or to -bench-out),
-// the one vroom-load -json-out writes.
 //
 // Exit status: 0 on success; 1 when no usable scrape was found, when an
 // input failed to parse, or when a -min-precision / -min-recall gate
@@ -28,7 +26,6 @@ import (
 	"os"
 
 	"vroom/internal/audit"
-	"vroom/internal/benchfmt"
 	"vroom/internal/loadgen"
 )
 
@@ -36,11 +33,7 @@ func main() {
 	var (
 		scrapesIn  = flag.String("scrapes", "", "scrape-series file written by vroom-load -scrape-out")
 		scrapeURL  = flag.String("scrape", "", "live server /metrics URL to scrape once instead")
-		traceIn    = flag.String("trace", "", "merged Perfetto storm trace (vroom-load -trace-out)")
-		flightDir  = flag.String("flight-dir", "", "flight-recorder dump directory (vroom-load -flight-dir)")
 		jsonOut    = flag.String("json-out", "", "write the vroom-audit/v1 report JSON here")
-		benchIn    = flag.String("bench", "", "vroom-bench/v1 artifact whose Server block gets the efficacy fields folded in")
-		benchOut   = flag.String("bench-out", "", "write the updated artifact here (default: overwrite -bench)")
 		top        = flag.Int("top", 20, "per-origin rows to print (0 = all)")
 		minPrec    = flag.Float64("min-precision", 0, "fail unless aggregate hint precision reaches this")
 		minRecall  = flag.Float64("min-recall", 0, "fail unless aggregate hint recall reaches this")
@@ -57,17 +50,6 @@ func main() {
 	if loadgen.Last(points) == nil {
 		fatal(fmt.Errorf("no usable scrape among %d point(s) (%d gapped)", rep.Scrapes, rep.ScrapeGaps))
 	}
-	if *traceIn != "" {
-		if err := rep.AddTrace(*traceIn); err != nil {
-			fatal(err)
-		}
-	}
-	if *flightDir != "" {
-		if err := rep.AddFlightDir(*flightDir); err != nil {
-			fatal(err)
-		}
-	}
-
 	if !*quiet {
 		rep.Render(os.Stdout, *top)
 	}
@@ -76,11 +58,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("audit: wrote %s\n", *jsonOut)
-	}
-	if *benchIn != "" {
-		if err := foldBench(rep, *benchIn, *benchOut); err != nil {
-			fatal(err)
-		}
 	}
 
 	if *requireAcc && len(rep.Origins) == 0 {
@@ -107,32 +84,6 @@ func collect(path, url string) ([]loadgen.ScrapePoint, error) {
 	default:
 		return nil, fmt.Errorf("one of -scrapes or -scrape is required")
 	}
-}
-
-// foldBench stamps the report into every Server block of the artifact.
-func foldBench(rep *audit.Report, in, out string) error {
-	f, err := benchfmt.Load(in)
-	if err != nil {
-		return err
-	}
-	n := 0
-	for i := range f.Figures {
-		if f.Figures[i].Server != nil {
-			rep.FoldInto(f.Figures[i].Server)
-			n++
-		}
-	}
-	if n == 0 {
-		return fmt.Errorf("%s: no figure carries a Server block to fold into", in)
-	}
-	if out == "" {
-		out = in
-	}
-	if err := benchfmt.Save(out, f); err != nil {
-		return err
-	}
-	fmt.Printf("audit: folded efficacy into %d Server block(s) of %s\n", n, out)
-	return nil
 }
 
 func fatal(err error) {

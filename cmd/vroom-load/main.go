@@ -3,7 +3,8 @@
 // ever hangs, shed responses stay retryable, and degradation is always
 // tagged. It is the acceptance harness for the resolver-as-a-service work —
 // CI runs it against a faulted server and fails on a hung load or on a
-// missing shed/stale signal.
+// missing shed/stale signal — and the one live-load tool: a single load is
+// -loads 1 -concurrency 1.
 //
 // Usage:
 //
@@ -13,33 +14,38 @@
 //
 // With -faults, every client dial passes through a seeded netem fault shim,
 // so the storm exercises the server's recovery paths, not just its happy
-// path. -scrape reads the server's /metrics after the storm and folds
-// serving-side figures (QPS, hint-lookup p50/p99, shed rate) and the
-// hint-efficacy block (per-origin precision/recall, wasted push bytes)
-// into the vroom-bench/v1 artifact written by -json-out. With
-// -scrape-every the scrape runs periodically through the whole storm
-// (each failure retried once, two in a row marked as a gap rather than
-// failing the run) and -scrape-out persists the series as a
-// vroom-scrapes/v1 file for offline vroom-audit.
+// path. -scrape reads the server's /metrics after the storm and adds the
+// serving figures (QPS, shed share, hint-lookup p50/p99, degradation modes,
+// cold-start recovery) and the hint-efficacy block (per-origin
+// precision/recall, wasted push bytes) to the storm report. -json-out
+// writes that report as a vroom-audit/v1 file: the storm block, the scrape
+// totals and per-origin rows, and the trace and flight blocks when those
+// are recorded. With -scrape-every the scrape runs periodically through
+// the whole storm (each failure retried once, two in a row marked as a gap
+// rather than failing the run) and -scrape-out persists the series as a
+// vroom-scrapes/v1 file for offline vroom-audit. -metrics-out writes the
+// clients' shared metric registry (counters, gauges, latency histograms
+// with exemplars) as JSON.
 //
 // Distributed tracing:
 //
 //	vroom-load -root ... -trace-out storm.json -trace-propagate \
 //	    -trace-scrape http://127.0.0.1:9090/trace -flight-dir flight/
 //
-// -trace-out records every load's client-side spans into one storm
-// recording, exported as a validated Perfetto file. -trace-propagate mints
-// a per-load trace ID sent in the vroom-trace header; with -trace-scrape
-// the server's recording (it must run with -trace) is fetched after the
-// storm, its tracks prefixed "srv:", and merged under the clients' — the
-// run fails unless at least one fetch's flow joins both sides.
-// -flight-dir arms a bounded per-load flight recorder whose ring is dumped
-// there as a vroom-events artifact only for loads that end degraded,
-// failed, past deadline, or hung.
+// -trace-out records every load's client-side spans (and, under -faults,
+// the shim's injected-fault instants) into one storm recording, exported as
+// a validated Perfetto file. -trace-propagate mints a per-load trace ID
+// sent in the vroom-trace header; with -trace-scrape the server's recording
+// (it must run with -trace) is fetched after the storm, its tracks prefixed
+// "srv:", and merged under the clients' — the run fails unless at least
+// one fetch's flow joins both sides. -flight-dir arms a bounded per-load
+// flight recorder whose ring is dumped there as a vroom-events artifact
+// only for loads that end degraded, failed, past deadline, or hung.
 //
 // Exit status: 0 on success; 1 when a load hung, when -require-degraded
-// tokens were not all observed, when the scrape was unreachable, or when
-// the merged trace failed validation (or joined no cross-process flow).
+// tokens were not all observed, when the scrape was unreachable, when the
+// merged trace failed validation (or joined no cross-process flow), or when
+// an output file could not be written.
 package main
 
 import (
@@ -48,12 +54,10 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"vroom/internal/audit"
-	"vroom/internal/benchfmt"
 	"vroom/internal/faults"
 	"vroom/internal/loadgen"
 	"vroom/internal/netem"
@@ -72,7 +76,7 @@ func main() {
 		faultsRaw   = flag.String("faults", "none", "wire fault regime injected on client dials: none, mild, or severe")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault plan")
 		grace       = flag.Duration("grace", 30*time.Second, "hang-watchdog grace beyond each class's load deadline")
-		jsonOut     = flag.String("json-out", "", "write a vroom-bench/v1 artifact to this path")
+		jsonOut     = flag.String("json-out", "", "write the storm report (vroom-audit/v1) to this path")
 		scrapeURL   = flag.String("scrape", "", "server /metrics URL to scrape after the storm")
 		scrapeEvery = flag.Duration("scrape-every", 0, "also scrape -scrape periodically during the storm (0 = final scrape only)")
 		scrapeOut   = flag.String("scrape-out", "", "write the scrape series (vroom-scrapes/v1) here for offline vroom-audit")
@@ -82,6 +86,7 @@ func main() {
 		propagate   = flag.Bool("trace-propagate", false, "mint per-load trace IDs and send them in the vroom-trace header")
 		flightDir   = flag.String("flight-dir", "", "dump per-load flight-recorder rings here for loads that end degraded, failed, late, or hung")
 		flightEvts  = flag.Int("flight-events", 0, "flight-ring capacity per track (default 256)")
+		metricsOut  = flag.String("metrics-out", "", "write the client metric registry as JSON to this path after the storm")
 	)
 	flag.Parse()
 	if *rootRaw == "" {
@@ -99,17 +104,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	dial := func(origin string) (net.Conn, error) { return net.Dial("tcp", *server) }
-	if regime != faults.RegimeNone {
-		plan := faults.New(*faultSeed, faults.RegimeConfig(regime))
-		plan.ExemptURL(root)
-		shim := netem.NewFaultShim(plan)
-		raw := dial
-		dial = func(origin string) (net.Conn, error) {
-			return shim.Dial(origin, func() (net.Conn, error) { return raw(origin) })
-		}
-	}
-
 	var storm *obs.LiveRecording
 	var tr *obs.Tracer
 	if *traceOut != "" {
@@ -122,8 +116,24 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	var reg *telemetry.Registry
+	if *metricsOut != "" {
+		reg = telemetry.NewRegistry()
+	}
 
-	// A periodic scraper runs for the storm's whole life so the artifact can
+	dial := func(origin string) (net.Conn, error) { return net.Dial("tcp", *server) }
+	if regime != faults.RegimeNone {
+		plan := faults.New(*faultSeed, faults.RegimeConfig(regime))
+		plan.ExemptURL(root)
+		shim := netem.NewFaultShim(plan)
+		shim.Trace = tr
+		raw := dial
+		dial = func(origin string) (net.Conn, error) {
+			return shim.Dial(origin, func() (net.Conn, error) { return raw(origin) })
+		}
+	}
+
+	// A periodic scraper runs for the storm's whole life so the report can
 	// say how much of the run it actually observed: each failed scrape is
 	// retried once, two failures in a row become a marked gap, never a
 	// crashed storm.
@@ -132,7 +142,6 @@ func main() {
 		series = loadgen.StartScrapes(*scrapeURL, *scrapeEvery)
 	}
 
-	reg := telemetry.NewRegistry()
 	res := loadgen.Run(loadgen.Config{
 		Roots:        []urlutil.URL{root},
 		Loads:        *loads,
@@ -147,78 +156,72 @@ func main() {
 		FlightEvents: *flightEvts,
 	})
 
-	printSummary(res)
-	if *flightDir != "" {
-		fmt.Printf("flight: %d dump(s) in %s\n", len(res.FlightDumps), *flightDir)
-	}
-
 	failed := false
-	if res.Hung > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d load(s) hung past deadline+grace\n", res.Hung)
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "FAIL: "+format+"\n", args...)
 		failed = true
 	}
-	for _, tok := range splitTokens(*requireRaw) {
-		if res.DegradedModes[tok] == 0 {
-			fmt.Fprintf(os.Stderr, "FAIL: required degradation mode %q never observed\n", tok)
-			failed = true
-		}
-	}
 
-	if storm != nil {
-		if err := exportTrace(*traceOut, *traceScrape, *propagate, storm); err != nil {
-			fmt.Fprintf(os.Stderr, "FAIL: trace: %v\n", err)
-			failed = true
-		}
-	}
-
-	var srvStats *benchfmt.ServerStats
+	var points []loadgen.ScrapePoint
 	if *scrapeURL != "" {
 		if series == nil {
 			// No periodic cadence asked for: take one final scrape through
 			// the same retry-once path a mid-storm scrape gets.
 			series = loadgen.StartScrapes(*scrapeURL, 0)
 		}
-		points := series.Stop()
+		points = series.Stop()
 		if gaps := loadgen.Gaps(points); gaps > 0 {
 			fmt.Printf("scrape: %d/%d point(s) gapped (server unreachable past one retry)\n",
 				gaps, len(points))
 		}
-		sc := loadgen.Last(points)
-		if sc == nil {
-			fmt.Fprintf(os.Stderr, "FAIL: scrape: every attempt failed: %s\n", points[len(points)-1].Err)
-			failed = true
-		} else {
-			srvStats = serverStats(sc, res.Elapsed)
-			rep := audit.Summarize(points)
-			rep.FoldInto(srvStats)
-			fmt.Printf("server: %d requests (%.1f qps), %d shed (%.1f%%), hint lookup p50=%.2fms p99=%.2fms, degraded %.1f%%\n",
-				srvStats.Requests, srvStats.QPS, srvStats.Shed, 100*srvStats.ShedRate,
-				srvStats.HintLookupP50, srvStats.HintLookupP99, 100*srvStats.DegradedRate)
-			if srvStats.HintsEmitted > 0 {
-				fmt.Printf("efficacy: %d hints emitted, precision %.3f recall %.3f, %d origin(s), wasted push %dB\n",
-					srvStats.HintsEmitted, srvStats.HintPrecision, srvStats.HintRecall,
-					len(srvStats.Origins), srvStats.WastedPushBytes)
-			}
+		if loadgen.Last(points) == nil {
+			fail("scrape: every attempt failed: %s", points[len(points)-1].Err)
 		}
 		if *scrapeOut != "" {
 			if err := loadgen.SaveSeries(*scrapeOut, *scrapeURL, points); err != nil {
-				fmt.Fprintf(os.Stderr, "FAIL: scrape-out: %v\n", err)
-				failed = true
+				fail("scrape-out: %v", err)
 			} else {
 				fmt.Printf("scrapes: %s (%d point(s))\n", *scrapeOut, len(points))
 			}
 		}
 	} else if *scrapeOut != "" {
-		fmt.Fprintln(os.Stderr, "FAIL: -scrape-out needs -scrape")
-		failed = true
+		fail("-scrape-out needs -scrape")
 	}
 
-	if *jsonOut != "" {
-		if err := writeArtifact(*jsonOut, res, srvStats, regime, *seed, *concurrency); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed = true
+	rep := audit.Summarize(points)
+	rep.AddStorm(res)
+	if storm != nil {
+		merged, err := exportTrace(*traceOut, *traceScrape, *propagate, storm)
+		if err != nil {
+			fail("trace: %v", err)
+		}
+		rep.AddTrace(merged)
+	}
+	if *flightDir != "" {
+		rep.AddFlight(res.FlightDumps)
+	}
+	rep.Render(os.Stdout, 20)
+
+	if res.Hung > 0 {
+		fail("%d load(s) hung past deadline+grace", res.Hung)
+	}
+	for _, tok := range splitTokens(*requireRaw) {
+		if res.DegradedModes[tok] == 0 {
+			fail("required degradation mode %q never observed", tok)
+		}
+	}
+	if reg != nil {
+		if err := writeMetrics(*metricsOut, reg); err != nil {
+			fail("metrics-out: %v", err)
 		} else {
-			fmt.Printf("artifact: %s\n", *jsonOut)
+			fmt.Printf("metrics: %s\n", *metricsOut)
+		}
+	}
+	if *jsonOut != "" {
+		if err := rep.Save(*jsonOut); err != nil {
+			fail("json-out: %v", err)
+		} else {
+			fmt.Printf("report: %s\n", *jsonOut)
 		}
 	}
 	if failed {
@@ -226,87 +229,48 @@ func main() {
 	}
 }
 
-func printSummary(res *loadgen.Result) {
-	fmt.Printf("storm: %d loads in %.1fs (%d hung, %d deadline-hit)\n",
-		res.Loads, res.Elapsed.Seconds(), res.Hung, res.DeadlineHit)
-	fmt.Printf("fetches: %d (%d failed, %d retries), %d pushed, %d degraded responses\n",
-		res.Fetches, res.FailedFetches, res.Retries, res.Pushed, res.DegradedResps)
-	if len(res.DegradedModes) > 0 {
-		modes := make([]string, 0, len(res.DegradedModes))
-		for m := range res.DegradedModes {
-			modes = append(modes, m)
-		}
-		sort.Strings(modes)
-		parts := make([]string, 0, len(modes))
-		for _, m := range modes {
-			parts = append(parts, fmt.Sprintf("%s=%d", m, res.DegradedModes[m]))
-		}
-		fmt.Printf("degradation: %s\n", strings.Join(parts, " "))
-	}
-	for _, s := range classSeries(res) {
-		fmt.Printf("  %-20s n=%-4d p50=%7.1fms p95=%7.1fms\n", s.Label, s.N, s.P50, s.P95)
-	}
-}
-
-// classSeries distills the per-class load times (ms), sorted by class.
-func classSeries(res *loadgen.Result) []benchfmt.Series {
-	classes := make([]string, 0, len(res.ByClass))
-	for cl := range res.ByClass {
-		classes = append(classes, cl)
-	}
-	sort.Strings(classes)
-	var out []benchfmt.Series
-	for _, cl := range classes {
-		d := telemetry.NewDist()
-		for _, ms := range res.ByClass[cl] {
-			d.Add(ms)
-		}
-		out = append(out, benchfmt.SeriesOf(cl, d))
-	}
-	return out
-}
-
 // exportTrace merges the storm's client recording with the server's /trace
-// scrape (when given) and writes one validated Perfetto file. With
-// propagation on and a server recording in hand, at least one fetch flow
-// must join both processes or the export fails — the cross-process gate CI
-// pins.
-func exportTrace(path, scrape string, propagate bool, storm *obs.LiveRecording) error {
+// scrape (when given) and writes one validated Perfetto file, returning the
+// merged recording. With propagation on and a server recording in hand, at
+// least one fetch flow must join both processes or the export fails — the
+// cross-process gate CI pins; the merged recording is still returned so the
+// report can show what did join.
+func exportTrace(path, scrape string, propagate bool, storm *obs.LiveRecording) (*obs.Recording, error) {
 	merged := storm.Snapshot()
 	if scrape != "" {
 		srvRec, err := scrapeTrace(scrape)
 		if err != nil {
-			return err
+			return merged, err
 		}
-		merged = obs.Merge(merged, obs.PrefixTracks(srvRec, "srv:"))
-		if propagate {
-			n := obs.FlowJoinCount(merged, "srv:")
-			if n == 0 {
-				return fmt.Errorf("no fetch flow joined client and server spans")
-			}
-			fmt.Printf("trace: %d cross-process flow join(s)\n", n)
-		}
+		merged = obs.Merge(merged, obs.PrefixTracks(srvRec, audit.ServerTrackPrefix))
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return merged, err
 	}
 	if err := obs.WritePerfetto(f, merged); err != nil {
 		f.Close()
-		return err
+		return merged, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return merged, err
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return merged, err
 	}
 	if err := obs.CheckPerfetto(data); err != nil {
-		return err
+		return merged, err
 	}
 	fmt.Printf("trace: %s (%d events)\n", path, len(merged.Events))
-	return nil
+	if scrape != "" && propagate {
+		n := obs.FlowJoinCount(merged, audit.ServerTrackPrefix)
+		if n == 0 {
+			return merged, fmt.Errorf("no fetch flow joined client and server spans")
+		}
+		fmt.Printf("trace: %d cross-process flow join(s)\n", n)
+	}
+	return merged, nil
 }
 
 // scrapeTrace fetches a /trace endpoint and parses its vroom-events body.
@@ -323,61 +287,17 @@ func scrapeTrace(url string) (*obs.Recording, error) {
 	return obs.ReadEvents(resp.Body)
 }
 
-// serverStats distills a final /metrics scrape into the serving-side
-// figures for the artifact. elapsed is the storm's wall time, used for QPS.
-func serverStats(sc *loadgen.Scrape, elapsed time.Duration) *benchfmt.ServerStats {
-	reqs := sc.Sum("vroom_server_requests_total", nil)
-	shed := sc.Sum("vroom_server_shed_total", nil)
-	degraded := sc.Sum("vroom_server_degraded_total", nil)
-	st := &benchfmt.ServerStats{
-		Requests:      int64(reqs),
-		Shed:          int64(shed),
-		HintLookupP50: sc.HistogramQuantile("vroom_store_hint_lookup_ms", 50),
-		HintLookupP99: sc.HistogramQuantile("vroom_store_hint_lookup_ms", 99),
-		// The durable-state block: all zero when the server runs without
-		// -state-dir, and omitted from the JSON accordingly.
-		RecoveryMs:      sc.Sum("vroom_persist_recovery_ms", nil),
-		RecoveredTables: int64(sc.Sum("vroom_persist_recovered_tables", nil)),
-		Quarantined:     int64(sc.Sum("vroom_persist_quarantined_total", nil)),
-		WALFsyncP99:     sc.HistogramQuantile("vroom_persist_wal_fsync_ms", 99),
+// writeMetrics dumps the registry as JSON.
+func writeMetrics(path string, reg *telemetry.Registry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		st.QPS = reqs / secs
+	if err := reg.WriteJSON(f); err != nil {
+		f.Close()
+		return err
 	}
-	if reqs+shed > 0 {
-		st.ShedRate = shed / (reqs + shed)
-	}
-	if reqs > 0 {
-		st.DegradedRate = degraded / reqs
-		st.StaleRestoreRate = sc.Sum("vroom_server_degraded_total",
-			map[string]string{"mode": "stale-restore"}) / reqs
-	}
-	return st
-}
-
-// writeArtifact distills the storm into a vroom-bench/v1 file: one figure of
-// per-class load times plus the serving-side block when a scrape succeeded.
-func writeArtifact(path string, res *loadgen.Result, srv *benchfmt.ServerStats,
-	regime faults.Regime, seed int64, workers int) error {
-	fig := benchfmt.Figure{
-		ID:        "load-storm-plt",
-		Title:     "Storm PLT by client class (s)",
-		ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
-		Server:    srv,
-		Notes: []string{
-			fmt.Sprintf("%d loads, %d hung, %d deadline-hit, %d fetch retries",
-				res.Loads, res.Hung, res.DeadlineHit, res.Retries),
-		},
-	}
-	fig.Series = classSeries(res)
-	return benchfmt.Save(path, &benchfmt.File{
-		Scale:     "load",
-		Seed:      seed,
-		Faults:    regime.String(),
-		Workers:   workers,
-		ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
-		Figures:   []benchfmt.Figure{fig},
-	})
+	return f.Close()
 }
 
 func splitTokens(s string) []string {

@@ -1,15 +1,16 @@
-// Package audit distills a load run's observability exhaust — periodic
-// /metrics scrapes, the merged Perfetto trace, flight-recorder dumps —
-// into one per-origin hint-efficacy report. It is the read side of the
-// hint-quality accounting the wire server and hint store keep: precision,
-// recall, wasted push bytes, push lead time, and table staleness, broken
-// down per tenant and cross-checked against client-side trace latencies.
+// Package audit distills a load run into one vroom-audit/v1 report: the
+// client side of the storm, the server's /metrics scrapes, the merged storm
+// recording and the flight-recorder dumps. The scrape part is the read side
+// of the hint-quality accounting the wire server and hint store keep —
+// precision, recall, wasted push bytes, push lead time and table staleness
+// per tenant — next to the serving figures (shed share, hint-lookup
+// latency, degradation modes, cold-start recovery), cross-checked against
+// client-side fetch latencies from the trace.
 //
-// The package is pure computation over already-collected artifacts so it
-// can run offline: cmd/vroom-audit feeds it a scrape-series file written
-// by vroom-load -scrape-out (or a single live scrape), and vroom-load
-// itself uses FoldInto to stamp the same numbers into its vroom-bench/v1
-// artifact.
+// The package is pure computation over already-collected data. cmd/vroom-load
+// writes the whole report for its own storm (-json-out); cmd/vroom-audit
+// builds and gates the scrape part offline, from a series written by
+// vroom-load -scrape-out, or from one live scrape.
 package audit
 
 import (
@@ -17,45 +18,98 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
-	"vroom/internal/benchfmt"
 	"vroom/internal/hints"
 	"vroom/internal/hintstore"
 	"vroom/internal/loadgen"
 	"vroom/internal/obs"
 	"vroom/internal/telemetry"
 	"vroom/internal/urlutil"
+	"vroom/internal/wire"
 )
 
-// Schema versions the report JSON cmd/vroom-audit emits.
+// Schema versions the report JSON.
 const Schema = "vroom-audit/v1"
 
-// Report is the merged efficacy view of one run.
+// ServerTrackPrefix marks the server's tracks in a merged storm recording:
+// vroom-load passes the server's /trace recording through obs.PrefixTracks
+// with it before obs.Merge.
+const ServerTrackPrefix = "srv:"
+
+// Report is the merged view of one run.
 type Report struct {
 	Schema     string  `json:"schema"`
 	Scrapes    int     `json:"scrapes"`
 	ScrapeGaps int     `json:"scrape_gaps"`
 	WindowMs   float64 `json:"window_ms,omitempty"`
 
-	Totals  Totals                 `json:"totals"`
-	Origins []benchfmt.OriginStats `json:"origins,omitempty"`
+	Storm   *Storm        `json:"storm,omitempty"`
+	Totals  Totals        `json:"totals"`
+	Origins []OriginStats `json:"origins,omitempty"`
 
-	Runtime *RuntimeHealth `json:"runtime,omitempty"`
-	Trace   *TraceStats    `json:"trace,omitempty"`
-	Flight  *FlightStats   `json:"flight,omitempty"`
+	Recovery *Recovery      `json:"recovery,omitempty"`
+	Runtime  *RuntimeHealth `json:"runtime,omitempty"`
+	Trace    *TraceStats    `json:"trace,omitempty"`
+	Flight   *FlightStats   `json:"flight,omitempty"`
 }
 
-// Totals aggregates the efficacy counters across every origin. Precision
-// and recall are recomputed here from the summed counters — never averaged
-// over per-origin ratios, which would weight a one-hint tenant equally
-// with a thousand-hint one.
+// Storm is the client side of a vroom-load storm.
+type Storm struct {
+	Loads       int     `json:"loads"`
+	Hung        int     `json:"hung"`
+	DeadlineHit int     `json:"deadline_hit"`
+	ElapsedMs   float64 `json:"elapsed_ms"`
+	// QPS is the server's served requests per storm second; zero when no
+	// scrape landed.
+	QPS float64 `json:"qps,omitempty"`
+
+	Fetches       int `json:"fetches"`
+	FailedFetches int `json:"failed_fetches"`
+	Retries       int `json:"retries"`
+	Pushed        int `json:"pushed"`
+	// DegradedResps counts responses carrying any degradation tag, once
+	// each however many modes they carry; DegradedShare is DegradedResps
+	// over Fetches. DegradedModes counts the tags by mode.
+	DegradedResps int              `json:"degraded_resps"`
+	DegradedShare float64          `json:"degraded_share"`
+	DegradedModes map[string]int64 `json:"degraded_modes,omitempty"`
+
+	// Classes holds per-client-class load times, sorted by class.
+	Classes []ClassStats `json:"classes,omitempty"`
+}
+
+// ClassStats is one client class's completed-load times in milliseconds.
+type ClassStats struct {
+	Class  string  `json:"class"`
+	N      int     `json:"n"`
+	MeanMs float64 `json:"mean_ms"`
+	P50Ms  float64 `json:"p50_ms"`
+	P95Ms  float64 `json:"p95_ms"`
+}
+
+// Totals aggregates the scrape across every origin. Precision and recall
+// are recomputed here from the summed counters — never averaged over
+// per-origin ratios, which would weight a one-hint tenant equally with a
+// thousand-hint one.
 type Totals struct {
 	Requests int64 `json:"requests"`
 	Shed     int64 `json:"shed,omitempty"`
-	Degraded int64 `json:"degraded,omitempty"`
+	// ShedShare is Shed / (Requests + Shed): a shed request is never
+	// counted as served.
+	ShedShare float64 `json:"shed_share,omitempty"`
+	// DegradedModes counts degradation tags by mode. The server counts a
+	// response once per mode it carries, so the modes do not sum to a
+	// response count; Storm.DegradedShare is the per-response figure.
+	DegradedModes map[string]int64 `json:"degraded_modes,omitempty"`
+	// StaleRestoreShare is stale-restore-tagged responses / Requests: how
+	// much of the run was answered from disk-restored tables that
+	// retraining had not yet refreshed.
+	StaleRestoreShare float64 `json:"stale_restore_share,omitempty"`
+	HintLookupP50Ms   float64 `json:"hint_lookup_p50_ms,omitempty"`
+	HintLookupP99Ms   float64 `json:"hint_lookup_p99_ms,omitempty"`
 
 	HintsEmitted int64   `json:"hints_emitted"`
 	HintsUsed    int64   `json:"hints_used"`
@@ -73,6 +127,38 @@ type Totals struct {
 	StalenessP99Ms float64 `json:"staleness_p99_ms,omitempty"`
 }
 
+// OriginStats is one origin's row in the per-tenant breakdown. Settlement
+// counters attribute to the hinted URL's host while emissions attribute to
+// the hinting document's origin, so cross-origin hints make used+unused ≤
+// emitted hold only over the aggregate, not per row.
+type OriginStats struct {
+	Origin   string `json:"origin"`
+	Requests int64  `json:"requests,omitempty"`
+	Shed     int64  `json:"shed,omitempty"`
+	// DegradedTags counts degradation tags, one per mode a response
+	// carries, as the server's per-origin counter does.
+	DegradedTags    int64   `json:"degraded_tags,omitempty"`
+	HintsEmitted    int64   `json:"hints_emitted,omitempty"`
+	HintsUsed       int64   `json:"hints_used,omitempty"`
+	HintsUnused     int64   `json:"hints_unused,omitempty"`
+	HintsMissed     int64   `json:"hints_missed,omitempty"`
+	Precision       float64 `json:"precision,omitempty"`
+	Recall          float64 `json:"recall,omitempty"`
+	PushedBytes     int64   `json:"pushed_bytes,omitempty"`
+	WastedPushBytes int64   `json:"wasted_push_bytes,omitempty"`
+}
+
+// Recovery is the cold-start restore of a server running with -state-dir:
+// how long the snapshot load and WAL replay took, how many origin tables
+// it brought back, how many corrupt or torn artifacts it set aside, and
+// the WAL fsync p99 each retrain publish has paid since.
+type Recovery struct {
+	Ms            float64 `json:"ms"`
+	Tables        int64   `json:"tables"`
+	Quarantined   int64   `json:"quarantined,omitempty"`
+	WALFsyncP99Ms float64 `json:"wal_fsync_p99_ms,omitempty"`
+}
+
 // RuntimeHealth is the server's Go-runtime vitals at the final scrape.
 type RuntimeHealth struct {
 	HeapBytes     float64 `json:"heap_bytes"`
@@ -83,7 +169,7 @@ type RuntimeHealth struct {
 	SampleErrors  float64 `json:"sample_errors,omitempty"`
 }
 
-// TraceStats summarizes the merged storm trace: client fetch latencies
+// TraceStats summarizes the merged storm recording: client fetch latencies
 // (per origin, joined into the table by origin name) and how many flows
 // actually stitched the client and server recordings together.
 type TraceStats struct {
@@ -113,7 +199,7 @@ type FlightStats struct {
 // Summarize builds a report from a scrape series. Counters come from the
 // newest usable scrape (they are cumulative, so the last scrape is the
 // whole run); the gap count reports how much of the storm the series
-// failed to observe.
+// failed to observe. It is the one reader of a scrape.
 func Summarize(points []loadgen.ScrapePoint) *Report {
 	r := &Report{Schema: Schema, Scrapes: len(points), ScrapeGaps: loadgen.Gaps(points)}
 	if len(points) > 1 {
@@ -124,10 +210,11 @@ func Summarize(points []loadgen.ScrapePoint) *Report {
 		return r
 	}
 
-	r.Totals = Totals{
+	t := Totals{
 		Requests:        int64(sc.Sum("vroom_server_requests_total", nil)),
 		Shed:            int64(sc.Sum("vroom_server_shed_total", nil)),
-		Degraded:        int64(sc.Sum("vroom_server_degraded_total", nil)),
+		HintLookupP50Ms: sc.HistogramQuantile("vroom_store_hint_lookup_ms", 50),
+		HintLookupP99Ms: sc.HistogramQuantile("vroom_store_hint_lookup_ms", 99),
 		HintsEmitted:    int64(sc.Sum(hintstore.MetricHintsEmitted, nil)),
 		HintsUsed:       int64(sc.Sum(hintstore.MetricHintsUsed, nil)),
 		HintsUnused:     int64(sc.Sum(hintstore.MetricHintsUnused, nil)),
@@ -139,9 +226,30 @@ func Summarize(points []loadgen.ScrapePoint) *Report {
 		StalenessP50Ms:  sc.HistogramQuantile(hintstore.MetricStalenessMs, 50),
 		StalenessP99Ms:  sc.HistogramQuantile(hintstore.MetricStalenessMs, 99),
 	}
-	r.Totals.Precision, r.Totals.Recall = precisionRecall(r.Totals.HintsUsed, r.Totals.HintsUnused, r.Totals.HintsMissed)
+	if t.Requests+t.Shed > 0 {
+		t.ShedShare = float64(t.Shed) / float64(t.Requests+t.Shed)
+	}
+	if modes := sc.SumBy("vroom_server_degraded_total", "mode"); len(modes) > 0 {
+		t.DegradedModes = make(map[string]int64, len(modes))
+		for m, n := range modes {
+			t.DegradedModes[m] = int64(n)
+		}
+	}
+	if t.Requests > 0 {
+		t.StaleRestoreShare = float64(t.DegradedModes[wire.DegradedStaleRestore]) / float64(t.Requests)
+	}
+	t.Precision, t.Recall = precisionRecall(t.HintsUsed, t.HintsUnused, t.HintsMissed)
+	r.Totals = t
 	r.Origins = originRows(sc)
 
+	if sc.Has("vroom_persist_recovered_tables") {
+		r.Recovery = &Recovery{
+			Ms:            sc.Sum("vroom_persist_recovery_ms", nil),
+			Tables:        int64(sc.Sum("vroom_persist_recovered_tables", nil)),
+			Quarantined:   int64(sc.Sum("vroom_persist_quarantined_total", nil)),
+			WALFsyncP99Ms: sc.HistogramQuantile("vroom_persist_wal_fsync_ms", 99),
+		}
+	}
 	if sc.Has(telemetry.MRuntimeGoroutines) || sc.Has(telemetry.MRuntimeHeapBytes) {
 		r.Runtime = &RuntimeHealth{
 			HeapBytes:     sc.Sum(telemetry.MRuntimeHeapBytes, nil),
@@ -169,7 +277,7 @@ func precisionRecall(used, unused, missed int64) (float64, float64) {
 // host while emissions attribute to the hinting document, cross-origin
 // hints can make a row's used+unused exceed its emitted — the aggregate
 // in Totals is the invariant-bearing number.
-func originRows(sc *loadgen.Scrape) []benchfmt.OriginStats {
+func originRows(sc *loadgen.Scrape) []OriginStats {
 	families := map[string]map[string]float64{
 		"req":    sc.SumBy("vroom_server_origin_requests_total", "origin"),
 		"shed":   sc.SumBy("vroom_server_origin_shed_total", "origin"),
@@ -197,13 +305,13 @@ func originRows(sc *loadgen.Scrape) []benchfmt.OriginStats {
 		origins = append(origins, o)
 	}
 	sort.Strings(origins)
-	rows := make([]benchfmt.OriginStats, 0, len(origins))
+	rows := make([]OriginStats, 0, len(origins))
 	for _, o := range origins {
-		row := benchfmt.OriginStats{
+		row := OriginStats{
 			Origin:          o,
 			Requests:        int64(families["req"][o]),
 			Shed:            int64(families["shed"][o]),
-			Degraded:        int64(families["degr"][o]),
+			DegradedTags:    int64(families["degr"][o]),
 			HintsEmitted:    int64(families["emit"][o]),
 			HintsUsed:       int64(families["used"][o]),
 			HintsUnused:     int64(families["unused"][o]),
@@ -217,54 +325,100 @@ func originRows(sc *loadgen.Scrape) []benchfmt.OriginStats {
 	return rows
 }
 
-// FoldInto stamps the report's efficacy view into a vroom-bench/v1 Server
-// block, leaving the block's serving-side figures (QPS, lookup latency)
-// alone — those come from the load run itself.
-func (r *Report) FoldInto(st *benchfmt.ServerStats) {
-	if st == nil {
-		return
+// AddStorm fills the Storm block from a finished storm. Call it after
+// Summarize: QPS divides the scraped request count by the storm's wall
+// time.
+func (r *Report) AddStorm(res *loadgen.Result) {
+	st := &Storm{
+		Loads:         res.Loads,
+		Hung:          res.Hung,
+		DeadlineHit:   res.DeadlineHit,
+		ElapsedMs:     float64(res.Elapsed) / float64(time.Millisecond),
+		Fetches:       res.Fetches,
+		FailedFetches: res.FailedFetches,
+		Retries:       res.Retries,
+		Pushed:        res.Pushed,
+		DegradedResps: res.DegradedResps,
 	}
-	st.HintPrecision = r.Totals.Precision
-	st.HintRecall = r.Totals.Recall
-	st.HintsEmitted = r.Totals.HintsEmitted
-	st.PushedBytes = r.Totals.PushedBytes
-	st.WastedPushBytes = r.Totals.WastedPushBytes
-	st.PushLeadP50Ms = r.Totals.PushLeadP50Ms
-	st.StalenessP50Ms = r.Totals.StalenessP50Ms
-	st.Scrapes = r.Scrapes
-	st.ScrapeGaps = r.ScrapeGaps
-	st.Origins = append([]benchfmt.OriginStats(nil), r.Origins...)
+	if len(res.DegradedModes) > 0 {
+		st.DegradedModes = make(map[string]int64, len(res.DegradedModes))
+		for m, n := range res.DegradedModes {
+			st.DegradedModes[m] = int64(n)
+		}
+	}
+	if res.Fetches > 0 {
+		st.DegradedShare = float64(res.DegradedResps) / float64(res.Fetches)
+	}
+	if secs := res.Elapsed.Seconds(); secs > 0 {
+		st.QPS = float64(r.Totals.Requests) / secs
+	}
+	classes := make([]string, 0, len(res.ByClass))
+	for cl := range res.ByClass {
+		classes = append(classes, cl)
+	}
+	sort.Strings(classes)
+	for _, cl := range classes {
+		d := telemetry.NewDist()
+		for _, ms := range res.ByClass[cl] {
+			d.Add(ms)
+		}
+		st.Classes = append(st.Classes, ClassStats{Class: cl, N: d.N(),
+			MeanMs: d.Mean(), P50Ms: d.Median(), P95Ms: d.Percentile(95)})
+	}
+	r.Storm = st
 }
 
-// AddTrace merges a Perfetto storm trace (vroom-load -trace-out) into the
-// report: fetch-span latencies per origin and the count of flows that
-// joined the client and server recordings.
-func (r *Report) AddTrace(path string) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// AddTrace digests the merged storm recording: client fetch spans, paired
+// Begin to End by event ID, give the latency digest overall and per
+// origin; Begin events on ServerTrackPrefix tracks count as server spans;
+// CrossFlows is obs.FlowJoinCount over the same prefix.
+func (r *Report) AddTrace(rec *obs.Recording) {
+	ts := &TraceStats{Events: len(rec.Events), CrossFlows: obs.FlowJoinCount(rec, ServerTrackPrefix)}
+	open := make(map[uint64]obs.Event)
+	durs := telemetry.NewDist()
+	byOrigin := make(map[string]*telemetry.Dist)
+	for _, ev := range rec.Events {
+		server := strings.HasPrefix(ev.Track, ServerTrackPrefix)
+		switch {
+		case ev.Kind == obs.KindBegin && server:
+			ts.ServerSpans++
+		case ev.Kind == obs.KindBegin && ev.Name == "fetch":
+			open[ev.ID] = ev
+		case ev.Kind == obs.KindEnd:
+			b, ok := open[ev.ID]
+			if !ok {
+				continue
+			}
+			delete(open, ev.ID)
+			ms := float64(ev.At.Sub(b.At)) / float64(time.Millisecond)
+			durs.Add(ms)
+			if u, err := urlutil.Parse(b.Arg("url")); err == nil {
+				if byOrigin[u.Host] == nil {
+					byOrigin[u.Host] = telemetry.NewDist()
+				}
+				byOrigin[u.Host].Add(ms)
+			}
+		}
 	}
-	ts, err := summarizeTrace(b)
-	if err != nil {
-		return fmt.Errorf("audit: %s: %w", path, err)
+	ts.Fetches = durs.N()
+	if ts.Fetches > 0 {
+		ts.FetchP50Ms, ts.FetchP95Ms = durs.Median(), durs.Percentile(95)
+	}
+	if len(byOrigin) > 0 {
+		ts.ByOrigin = make(map[string]TraceFetches, len(byOrigin))
+		for o, d := range byOrigin {
+			ts.ByOrigin[o] = TraceFetches{Fetches: d.N(), P50Ms: d.Median()}
+		}
 	}
 	r.Trace = ts
-	return nil
 }
 
-// AddFlightDir counts and sizes the flight-recorder dumps under dir.
-// Unreadable files are skipped — a torn dump must not fail the audit.
-func (r *Report) AddFlightDir(dir string) error {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
+// AddFlight counts and sizes the storm's flight-recorder dumps.
+// Unreadable files are skipped — a torn dump must not fail the report.
+func (r *Report) AddFlight(paths []string) {
 	fs := &FlightStats{}
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
+	for _, path := range paths {
+		f, err := os.Open(path)
 		if err != nil {
 			continue
 		}
@@ -282,152 +436,72 @@ func (r *Report) AddFlightDir(dir string) error {
 		}
 	}
 	r.Flight = fs
-	return nil
 }
 
-// perfetto-side parsing, private to the audit.
-
-type perfettoEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   int64             `json:"ts"` // microseconds
-	Tid  int               `json:"tid"`
-	ID   string            `json:"id,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-func summarizeTrace(data []byte) (*TraceStats, error) {
-	var f struct {
-		TraceEvents []perfettoEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, err
-	}
-	ts := &TraceStats{Events: len(f.TraceEvents)}
-
-	// Recover track names from thread_name metadata, so server-side spans
-	// (tracks prefixed "srv:" by the merge) are tellable from client ones.
-	srvTid := make(map[int]bool)
-	for _, ev := range f.TraceEvents {
-		if ev.Ph == "M" && ev.Name == "thread_name" {
-			srvTid[ev.Tid] = strings.HasPrefix(ev.Args["name"], "srv:")
-		}
-	}
-
-	// Pair fetch spans: nested B/E by per-tid stack, async b/e by tid+id.
-	type open struct {
-		ts     int64
-		origin string
-	}
-	stacks := make(map[int][]open)
-	async := make(map[string]open)
-	durs := telemetry.NewDist()
-	byOrigin := make(map[string]*telemetry.Dist)
-	record := func(o open, end int64) {
-		ms := float64(end-o.ts) / 1000
-		durs.Add(ms)
-		if o.origin != "" {
-			if byOrigin[o.origin] == nil {
-				byOrigin[o.origin] = telemetry.NewDist()
-			}
-			byOrigin[o.origin].Add(ms)
-		}
-	}
-	originOf := func(ev perfettoEvent) string {
-		u, err := urlutil.Parse(ev.Args["url"])
-		if err != nil {
-			return ""
-		}
-		return u.Host
-	}
-	flowTids := make(map[string]map[bool]bool)
-	for _, ev := range f.TraceEvents {
-		if ev.Ph == "s" || ev.Ph == "f" {
-			m := flowTids[ev.ID]
-			if m == nil {
-				m = make(map[bool]bool)
-				flowTids[ev.ID] = m
-			}
-			m[srvTid[ev.Tid]] = true
-			continue
-		}
-		if srvTid[ev.Tid] && (ev.Ph == "B" || ev.Ph == "b") {
-			ts.ServerSpans++
-		}
-		if ev.Name != "fetch" {
-			continue
-		}
-		switch ev.Ph {
-		case "B":
-			stacks[ev.Tid] = append(stacks[ev.Tid], open{ev.Ts, originOf(ev)})
-		case "E":
-			st := stacks[ev.Tid]
-			if n := len(st); n > 0 {
-				record(st[n-1], ev.Ts)
-				stacks[ev.Tid] = st[:n-1]
-			}
-		case "b":
-			async[fmt.Sprintf("%d|%s", ev.Tid, ev.ID)] = open{ev.Ts, originOf(ev)}
-		case "e":
-			key := fmt.Sprintf("%d|%s", ev.Tid, ev.ID)
-			if o, ok := async[key]; ok {
-				record(o, ev.Ts)
-				delete(async, key)
-			}
-		}
-	}
-	for _, sides := range flowTids {
-		if sides[true] && sides[false] {
-			ts.CrossFlows++
-		}
-	}
-	ts.Fetches = durs.N()
-	if ts.Fetches > 0 {
-		ts.FetchP50Ms, ts.FetchP95Ms = durs.Median(), durs.Percentile(95)
-	}
-	if len(byOrigin) > 0 {
-		ts.ByOrigin = make(map[string]TraceFetches, len(byOrigin))
-		for o, d := range byOrigin {
-			ts.ByOrigin[o] = TraceFetches{Fetches: d.N(), P50Ms: d.Median()}
-		}
-	}
-	return ts, nil
-}
-
-// Render prints the report as a terminal table: an aggregate header, then
-// the per-origin rows sorted by hints emitted (ties by origin), capped at
-// top rows (0 = all).
+// Render prints the report as a terminal table: the storm block (when
+// present), the scrape aggregate (when any scrape was taken), then the
+// per-origin rows sorted by hints emitted (ties by origin), capped at top
+// rows (0 = all).
 func (r *Report) Render(w io.Writer, top int) {
+	if s := r.Storm; s != nil {
+		fmt.Fprintf(w, "storm: %d loads in %.1fs (%d hung, %d deadline-hit)",
+			s.Loads, s.ElapsedMs/1000, s.Hung, s.DeadlineHit)
+		if s.QPS > 0 {
+			fmt.Fprintf(w, ", server %.1f qps", s.QPS)
+		}
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "fetches: %d (%d failed, %d retries), %d pushed, %d degraded responses (%.1f%%)\n",
+			s.Fetches, s.FailedFetches, s.Retries, s.Pushed, s.DegradedResps, 100*s.DegradedShare)
+		if len(s.DegradedModes) > 0 {
+			fmt.Fprintf(w, "degradation: %s\n", modeList(s.DegradedModes))
+		}
+		for _, c := range s.Classes {
+			fmt.Fprintf(w, "  %-20s n=%-4d p50=%7.1fms p95=%7.1fms\n", c.Class, c.N, c.P50Ms, c.P95Ms)
+		}
+	}
+	if r.Scrapes > 0 {
+		r.renderScrape(w, top)
+	}
+	if r.Trace != nil {
+		tr := r.Trace
+		fmt.Fprintf(w, "trace: %d fetch span(s), p50 %.1fms p95 %.1fms, %d server span(s), %d cross-process flow(s)\n",
+			tr.Fetches, tr.FetchP50Ms, tr.FetchP95Ms, tr.ServerSpans, tr.CrossFlows)
+	}
+	if r.Flight != nil {
+		fmt.Fprintf(w, "flight: %d dump(s), %d event(s)\n", r.Flight.Dumps, r.Flight.Events)
+	}
+}
+
+func (r *Report) renderScrape(w io.Writer, top int) {
 	fmt.Fprintf(w, "hint efficacy — %d scrape(s), %d gap(s)", r.Scrapes, r.ScrapeGaps)
 	if r.WindowMs > 0 {
 		fmt.Fprintf(w, ", %.1fs window", r.WindowMs/1000)
 	}
 	fmt.Fprintln(w)
 	t := r.Totals
-	fmt.Fprintf(w, "  requests %d  shed %d  degraded %d\n", t.Requests, t.Shed, t.Degraded)
+	fmt.Fprintf(w, "  requests %d  shed %d (%.1f%%)  hint lookup p50 %.2fms p99 %.2fms\n",
+		t.Requests, t.Shed, 100*t.ShedShare, t.HintLookupP50Ms, t.HintLookupP99Ms)
+	if len(t.DegradedModes) > 0 {
+		fmt.Fprintf(w, "  degradation tags: %s\n", modeList(t.DegradedModes))
+	}
 	fmt.Fprintf(w, "  hints: emitted %d  used %d  unused %d  missed %d  precision %.3f  recall %.3f\n",
 		t.HintsEmitted, t.HintsUsed, t.HintsUnused, t.HintsMissed, t.Precision, t.Recall)
 	fmt.Fprintf(w, "  push: %s pushed, %s wasted, lead p50 %.1fms  staleness p50 %.0fms\n",
 		fmtBytes(t.PushedBytes), fmtBytes(t.WastedPushBytes), t.PushLeadP50Ms, t.StalenessP50Ms)
-	if r.Runtime != nil {
-		rt := r.Runtime
+	if rc := r.Recovery; rc != nil {
+		fmt.Fprintf(w, "  recovery: %.0fms, %d table(s), %d quarantined, wal fsync p99 %.2fms, stale-restore %.1f%%\n",
+			rc.Ms, rc.Tables, rc.Quarantined, rc.WALFsyncP99Ms, 100*t.StaleRestoreShare)
+	}
+	if rt := r.Runtime; rt != nil {
 		fmt.Fprintf(w, "  runtime: heap %s  goroutines %.0f  gc %.0f (pause p99 %.2fms)  sched p99 %.2fms\n",
 			fmtBytes(int64(rt.HeapBytes)), rt.Goroutines, rt.GCCycles, rt.GCPauseP99Ms, rt.SchedLatP99Ms)
-	}
-	if r.Trace != nil {
-		tr := r.Trace
-		fmt.Fprintf(w, "  trace: %d fetch span(s), p50 %.1fms p95 %.1fms, %d server span(s), %d cross-process flow(s)\n",
-			tr.Fetches, tr.FetchP50Ms, tr.FetchP95Ms, tr.ServerSpans, tr.CrossFlows)
-	}
-	if r.Flight != nil {
-		fmt.Fprintf(w, "  flight: %d dump(s), %d event(s)\n", r.Flight.Dumps, r.Flight.Events)
 	}
 	if len(r.Origins) == 0 {
 		fmt.Fprintln(w, "  (no per-origin accounting in scrape — server running without -accounting?)")
 		return
 	}
 
-	rows := append([]benchfmt.OriginStats(nil), r.Origins...)
+	rows := append([]OriginStats(nil), r.Origins...)
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].HintsEmitted != rows[j].HintsEmitted {
 			return rows[i].HintsEmitted > rows[j].HintsEmitted
@@ -455,6 +529,20 @@ func (r *Report) Render(w io.Writer, top int) {
 	if len(shown) < len(rows) {
 		fmt.Fprintf(w, "  … %d more origin(s)\n", len(rows)-len(shown))
 	}
+}
+
+// modeList formats mode counts as "a=1 b=2", sorted by mode.
+func modeList(modes map[string]int64) string {
+	names := make([]string, 0, len(modes))
+	for m := range modes {
+		names = append(names, m)
+	}
+	sort.Strings(names)
+	parts := make([]string, len(names))
+	for i, m := range names {
+		parts[i] = fmt.Sprintf("%s=%d", m, modes[m])
+	}
+	return strings.Join(parts, " ")
 }
 
 func clip(s string, n int) string {

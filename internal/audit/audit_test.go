@@ -1,12 +1,13 @@
 package audit
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
-	"vroom/internal/benchfmt"
 	"vroom/internal/loadgen"
+	"vroom/internal/obs"
 )
 
 const exposition = `
@@ -15,6 +16,17 @@ vroom_server_requests_total{proto="h2"} 90
 vroom_server_requests_total{proto="h1"} 10
 vroom_server_shed_total 5
 vroom_server_degraded_total{mode="stale-hints"} 3
+vroom_server_degraded_total{mode="shed-push"} 2
+vroom_server_degraded_total{mode="stale-restore"} 4
+vroom_store_hint_lookup_ms_bucket{le="0.5"} 40
+vroom_store_hint_lookup_ms_bucket{le="1"} 80
+vroom_store_hint_lookup_ms_bucket{le="4"} 100
+vroom_store_hint_lookup_ms_bucket{le="+Inf"} 100
+vroom_persist_recovery_ms 12
+vroom_persist_recovered_tables 2
+vroom_persist_quarantined_total 1
+vroom_persist_wal_fsync_ms_bucket{le="2"} 10
+vroom_persist_wal_fsync_ms_bucket{le="+Inf"} 10
 vroom_server_origin_requests_total{origin="news.example"} 80
 vroom_server_origin_requests_total{origin="cdn.example"} 20
 vroom_hint_quality_hints_emitted_total{origin="news.example"} 40
@@ -53,8 +65,23 @@ func TestSummarizeTotalsAndOrigins(t *testing.T) {
 		t.Fatalf("scrapes/gaps = %d/%d, want 2/1", r.Scrapes, r.ScrapeGaps)
 	}
 	tot := r.Totals
-	if tot.Requests != 100 || tot.Shed != 5 || tot.Degraded != 3 {
+	if tot.Requests != 100 || tot.Shed != 5 {
 		t.Fatalf("serving totals wrong: %+v", tot)
+	}
+	// A shed request never counts as served: 5 / (100 + 5).
+	if want := 5.0 / 105.0; tot.ShedShare != want {
+		t.Fatalf("shed share = %v, want %v", tot.ShedShare, want)
+	}
+	if m := tot.DegradedModes; len(m) != 3 || m["stale-hints"] != 3 || m["shed-push"] != 2 || m["stale-restore"] != 4 {
+		t.Fatalf("degraded modes = %v, want stale-hints=3 shed-push=2 stale-restore=4", m)
+	}
+	if tot.StaleRestoreShare != 0.04 {
+		t.Fatalf("stale-restore share = %v, want 4/100", tot.StaleRestoreShare)
+	}
+	// Lookup buckets 40 ≤0.5ms, 80 ≤1ms, 100 ≤4ms: p50 interpolates a
+	// quarter into (0.5, 1], p99 nineteen twentieths into (1, 4].
+	if !near(tot.HintLookupP50Ms, 0.625) || !near(tot.HintLookupP99Ms, 3.85) {
+		t.Fatalf("hint lookup p50/p99 = %v/%v, want 0.625/3.85", tot.HintLookupP50Ms, tot.HintLookupP99Ms)
 	}
 	// used 30, unused 10 → precision 0.75; missed 10 → recall 0.75.
 	if tot.HintsEmitted != 40 || tot.HintsUsed != 30 || tot.HintsUnused != 10 || tot.HintsMissed != 10 {
@@ -91,6 +118,49 @@ func TestSummarizeTotalsAndOrigins(t *testing.T) {
 	if r.Runtime == nil || r.Runtime.Goroutines != 42 || r.Runtime.HeapBytes != 1048576 {
 		t.Fatalf("runtime health missing or wrong: %+v", r.Runtime)
 	}
+	rc := r.Recovery
+	if rc == nil || rc.Ms != 12 || rc.Tables != 2 || rc.Quarantined != 1 || !near(rc.WALFsyncP99Ms, 1.98) {
+		t.Fatalf("recovery block = %+v, want 12ms, 2 tables, 1 quarantined, fsync p99 1.98ms", rc)
+	}
+}
+
+func near(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
+
+// TestDegradedShareCountsResponses pins the per-response degraded share:
+// one response tagged both stale-hints and shed-push bumps the server's
+// degraded counter once per mode, so the share comes from the client's
+// response count, and the modes stay per-mode counts.
+func TestDegradedShareCountsResponses(t *testing.T) {
+	r := Summarize(seriesFrom(t, `
+vroom_server_requests_total{proto="h2"} 1
+vroom_server_degraded_total{mode="stale-hints"} 1
+vroom_server_degraded_total{mode="shed-push"} 1
+`))
+	if m := r.Totals.DegradedModes; len(m) != 2 || m["stale-hints"] != 1 || m["shed-push"] != 1 {
+		t.Fatalf("degraded modes = %v, want one tag of each", m)
+	}
+	r.AddStorm(&loadgen.Result{
+		Loads: 1, Fetches: 1, DegradedResps: 1,
+		DegradedModes: map[string]int{"stale-hints": 1, "shed-push": 1},
+		ByClass:       map[string][]float64{"phone": {10, 20, 30}},
+		Elapsed:       2 * time.Second,
+	})
+	st := r.Storm
+	if st.DegradedShare != 1 {
+		t.Fatalf("degraded share = %v, want 1 (one response, two tags)", st.DegradedShare)
+	}
+	if st.QPS != 0.5 {
+		t.Fatalf("qps = %v, want 1 request / 2s", st.QPS)
+	}
+	if len(st.Classes) != 1 || st.Classes[0] != (ClassStats{Class: "phone", N: 3, MeanMs: 20, P50Ms: 20, P95Ms: 29}) {
+		t.Fatalf("class stats = %+v", st.Classes)
+	}
+	var sb strings.Builder
+	r.Render(&sb, 0)
+	if out := sb.String(); !strings.Contains(out, "1 degraded responses (100.0%)") ||
+		!strings.Contains(out, "degradation tags: shed-push=1 stale-hints=1") {
+		t.Fatalf("render miscounts degradation:\n%s", out)
+	}
 }
 
 func TestSummarizeAllGapsDegradesGracefully(t *testing.T) {
@@ -103,21 +173,6 @@ func TestSummarizeAllGapsDegradesGracefully(t *testing.T) {
 	r.Render(&sb, 0)
 	if !strings.Contains(sb.String(), "no per-origin accounting") {
 		t.Fatalf("render missing empty-table note:\n%s", sb.String())
-	}
-}
-
-func TestFoldInto(t *testing.T) {
-	r := Summarize(seriesFrom(t, exposition))
-	var st benchfmt.ServerStats
-	r.FoldInto(&st)
-	if st.HintPrecision != 0.75 || st.HintRecall != 0.75 || st.HintsEmitted != 40 {
-		t.Fatalf("folded efficacy wrong: %+v", st)
-	}
-	if st.Scrapes != 2 || st.ScrapeGaps != 1 {
-		t.Fatalf("folded scrape counts wrong: %+v", st)
-	}
-	if len(st.Origins) != 2 || st.Origins[0].Origin != "cdn.example" {
-		t.Fatalf("folded origins wrong: %+v", st.Origins)
 	}
 }
 
@@ -137,34 +192,51 @@ func TestRenderTable(t *testing.T) {
 	}
 }
 
-const stormTrace = `{"traceEvents":[
-{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"load"}},
-{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"srv:server"}},
-{"name":"fetch","ph":"B","ts":0,"pid":1,"tid":1,"args":{"url":"https://news.example/","flow":"1:1"}},
-{"name":"fetch","ph":"E","ts":8000,"pid":1,"tid":1},
-{"name":"fetch","ph":"b","ts":1000,"pid":1,"tid":1,"cat":"vroom","id":"0x2","args":{"url":"https://cdn.example/a.js"}},
-{"name":"fetch","ph":"e","ts":3000,"pid":1,"tid":1,"cat":"vroom","id":"0x2"},
-{"name":"serve","ph":"B","ts":2000,"pid":1,"tid":2},
-{"name":"serve","ph":"E","ts":2500,"pid":1,"tid":2},
-{"name":"flow","ph":"s","ts":0,"pid":1,"tid":1,"cat":"vroom-flow","id":"1:1"},
-{"name":"flow","ph":"f","bp":"e","ts":2000,"pid":1,"tid":2,"cat":"vroom-flow","id":"1:1"}
-],"displayTimeUnit":"ms"}`
-
+// TestSummarizeTrace builds a merged storm recording the way vroom-load
+// does — a client and a server tracer, the server's tracks prefixed, then
+// Merge — and pins the digest: fetch spans pair by event ID even though
+// both tracers numbered their spans from 1, server spans are told apart
+// by the prefix, and CrossFlows is obs.FlowJoinCount's answer.
 func TestSummarizeTrace(t *testing.T) {
-	ts, err := summarizeTrace([]byte(stormTrace))
-	if err != nil {
-		t.Fatal(err)
+	base := time.Unix(1000, 0)
+	ms := func(n int) time.Time { return base.Add(time.Duration(n) * time.Millisecond) }
+
+	client := &obs.Recording{Start: base}
+	ct := obs.NewWall(client)
+	load := ct.BeginAt(ms(0), obs.TrackLoad, "load")
+	ct.BeginAt(ms(0), obs.TrackLoad, "fetch",
+		obs.Arg{Key: "url", Val: "https://news.example/"}, obs.Arg{Key: obs.ArgFlow, Val: "1:1"}).EndAt(ms(8))
+	ct.BeginAt(ms(1), obs.TrackLoad, "fetch",
+		obs.Arg{Key: "url", Val: "https://cdn.example/a.js"}).EndAt(ms(3))
+	ct.BeginAt(ms(9), obs.TrackLoad, "fetch",
+		obs.Arg{Key: "url", Val: "https://news.example/b.css"}).EndAt(ms(13))
+	load.EndAt(ms(14))
+
+	server := &obs.Recording{Start: base}
+	st := obs.NewWall(server)
+	st.BeginAt(ms(2), obs.TrackServer, "serve", obs.Arg{Key: obs.ArgFlow, Val: "1:1"}).EndAt(ms(5))
+	st.BeginAt(ms(10), obs.TrackServer, "serve").EndAt(ms(11))
+
+	merged := obs.Merge(client, obs.PrefixTracks(server, ServerTrackPrefix))
+	var r Report
+	r.AddTrace(merged)
+	ts := r.Trace
+	if ts.Events != len(merged.Events) {
+		t.Fatalf("events = %d, want %d", ts.Events, len(merged.Events))
 	}
-	if ts.Fetches != 2 {
-		t.Fatalf("fetches = %d, want 2", ts.Fetches)
+	if ts.Fetches != 3 {
+		t.Fatalf("fetches = %d, want 3", ts.Fetches)
 	}
-	if ts.ServerSpans != 1 {
-		t.Fatalf("server spans = %d, want 1", ts.ServerSpans)
+	if ts.ServerSpans != 2 {
+		t.Fatalf("server spans = %d, want 2", ts.ServerSpans)
 	}
-	if ts.CrossFlows != 1 {
-		t.Fatalf("cross flows = %d, want 1", ts.CrossFlows)
+	if want := obs.FlowJoinCount(merged, ServerTrackPrefix); ts.CrossFlows != want || want != 1 {
+		t.Fatalf("cross flows = %d, FlowJoinCount = %d, want both 1", ts.CrossFlows, want)
 	}
-	if tf := ts.ByOrigin["news.example"]; tf.Fetches != 1 || tf.P50Ms != 8 {
+	if ts.FetchP50Ms != 4 {
+		t.Fatalf("fetch p50 = %v, want 4 (of 8, 2, 4)", ts.FetchP50Ms)
+	}
+	if tf := ts.ByOrigin["news.example"]; tf.Fetches != 2 || tf.P50Ms != 6 {
 		t.Fatalf("news fetch digest wrong: %+v", ts.ByOrigin)
 	}
 	if tf := ts.ByOrigin["cdn.example"]; tf.Fetches != 1 || tf.P50Ms != 2 {

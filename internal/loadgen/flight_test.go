@@ -12,7 +12,7 @@ import (
 // gate-squeezed storm and pins the dump contract: bad-ending loads leave a
 // parseable vroom-events artifact on disk, clean loads leave nothing, and
 // the shared storm recording still receives every event (Fork tees, it
-// does not steal).
+// does not steal), h1 exchanges included.
 func TestStormFlightDumps(t *testing.T) {
 	w := newStormWorld(t, 40*time.Millisecond, 4)
 	dir := t.TempDir()
@@ -74,8 +74,21 @@ func TestStormFlightDumps(t *testing.T) {
 		}
 	}
 
-	// The tee'd storm recording saw the same loads the recorders did.
-	if snap := storm.Snapshot(); len(snap.Events) == 0 {
-		t.Error("shared storm recording is empty; Fork stole instead of teeing")
+	// The tee'd storm recording saw the same loads the recorders did,
+	// h1-class loads included: their pools trace exchange spans on the
+	// net track through the load's tracer.
+	snap := storm.Snapshot()
+	if len(snap.Events) == 0 {
+		t.Fatal("shared storm recording is empty; Fork stole instead of teeing")
+	}
+	exchange := false
+	for _, ev := range snap.Events {
+		if ev.Kind == obs.KindBegin && ev.Track == obs.TrackNet && ev.Name == "exchange" {
+			exchange = true
+			break
+		}
+	}
+	if !exchange {
+		t.Error("storm recording holds no h1 exchange span; h1 pools run untraced")
 	}
 }

@@ -322,7 +322,7 @@ func runOne(cfg Config, idx int, cl ClientClass, root urlutil.URL) Sample {
 			if err != nil {
 				return nil, err
 			}
-			return &h1.Pool{Authority: u.Host, Metrics: cfg.Metrics,
+			return &h1.Pool{Authority: u.Host, Trace: c.Trace, Metrics: cfg.Metrics,
 				Dial: func() (net.Conn, error) { return cfg.Dial(origin) }}, nil
 		}
 	} else {
