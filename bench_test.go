@@ -175,7 +175,7 @@ func BenchmarkSnapshotGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sn := site.Snapshot(at, vroom.Profile{}, uint64(i))
-		if sn.Len() == 0 {
+		if sn.RootResource() == nil {
 			b.Fatal("empty snapshot")
 		}
 	}

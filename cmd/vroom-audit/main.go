@@ -4,7 +4,9 @@
 // serving figures (shed share, hint-lookup latency, degradation modes,
 // cold-start recovery) and the server's runtime vitals. The report is the
 // scrape part of the vroom-audit/v1 storm report vroom-load -json-out
-// writes, which adds the storm, trace and flight blocks.
+// writes, which adds the storm, trace and flight blocks. The terminal table
+// shows the 20 origins that emitted the most hints; -json-out keeps every
+// origin.
 //
 // Usage, offline (the usual CI shape — vroom-load -scrape-out wrote the
 // series):
@@ -34,7 +36,6 @@ func main() {
 		scrapesIn  = flag.String("scrapes", "", "scrape-series file written by vroom-load -scrape-out")
 		scrapeURL  = flag.String("scrape", "", "live server /metrics URL to scrape once instead")
 		jsonOut    = flag.String("json-out", "", "write the vroom-audit/v1 report JSON here")
-		top        = flag.Int("top", 20, "per-origin rows to print (0 = all)")
 		minPrec    = flag.Float64("min-precision", 0, "fail unless aggregate hint precision reaches this")
 		minRecall  = flag.Float64("min-recall", 0, "fail unless aggregate hint recall reaches this")
 		quiet      = flag.Bool("q", false, "suppress the terminal table")
@@ -51,7 +52,7 @@ func main() {
 		fatal(fmt.Errorf("no usable scrape among %d point(s) (%d gapped)", rep.Scrapes, rep.ScrapeGaps))
 	}
 	if !*quiet {
-		rep.Render(os.Stdout, *top)
+		rep.Render(os.Stdout, 20)
 	}
 	if *jsonOut != "" {
 		if err := rep.Save(*jsonOut); err != nil {
@@ -61,7 +62,7 @@ func main() {
 	}
 
 	if *requireAcc && len(rep.Origins) == 0 {
-		fatal(fmt.Errorf("scrape carries no per-origin hint-quality series (server running without accounting?)"))
+		fatal(fmt.Errorf("scrape carries no per-origin hint-quality series (no hints served yet?)"))
 	}
 	if *minPrec > 0 && rep.Totals.Precision < *minPrec {
 		fatal(fmt.Errorf("hint precision %.3f below gate %.3f", rep.Totals.Precision, *minPrec))

@@ -3,7 +3,10 @@
 //
 // Usage:
 //
-//	vroom-bench [-fig all|fig01,...] [-scale quick|half|full] [-seed N] [-workers N]
+//	vroom-bench [-fig all|fig01,...] [-scale quick|half|full] [-seed N]
+//	    [-faults none|mild|severe] [-workers N]
+//
+// The -fig usage text (vroom-bench -h) lists every figure ID.
 //
 // TestAllFiguresRunQuick (internal/experiments) pins every figure at
 // -scale quick -seed 2017 exactly, against testdata/quick.golden.
@@ -23,12 +26,11 @@ import (
 
 func main() {
 	var (
-		figs    = flag.String("fig", "all", "comma-separated figure ids, or 'all' (see -list)")
+		figs    = flag.String("fig", "all", "comma-separated figure ids, or 'all': "+strings.Join(experiments.IDs(), ","))
 		scale   = flag.String("scale", "half", "corpus scale: quick (3+3 sites), half (15+15), full (50+50, the paper's)")
 		seed    = flag.Int64("seed", 2017, "corpus seed")
 		regimeS = flag.String("faults", "none", "fault regime applied to every measured load: none, mild, or severe (seeded, reproducible)")
 		workers = flag.Int("workers", 0, "concurrent site workers per figure (0 = GOMAXPROCS, 1 = serial); any count produces identical tables")
-		list    = flag.Bool("list", false, "list figure ids and exit")
 	)
 	flag.Parse()
 
@@ -36,13 +38,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
-		}
-		return
 	}
 
 	o := experiments.DefaultOptions()
@@ -74,7 +69,7 @@ func main() {
 	for _, id := range ids {
 		run, ok := experiments.Registry[strings.TrimSpace(id)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %q (use -list)\n", id)
+			fmt.Fprintf(os.Stderr, "unknown figure %q (known: %s)\n", id, strings.Join(experiments.IDs(), ","))
 			os.Exit(2)
 		}
 		t0 := time.Now()

@@ -1,10 +1,10 @@
-// vroom-corpus generates and inspects the synthetic page corpus, and
-// records pages into replay archives for the wire-level tools.
+// vroom-corpus records one generated page into a replay archive for the
+// wire-level tools. A site name builds the same page here as in
+// vroom-server and vroom-trace.
 //
 // Usage:
 //
-//	vroom-corpus -stats                         # corpus statistics
-//	vroom-corpus -record out.json -site news03  # record one page
+//	vroom-corpus -record out.json -site dailynews00
 package main
 
 import (
@@ -14,67 +14,27 @@ import (
 	"time"
 
 	"vroom/internal/replay"
-	"vroom/internal/telemetry"
 	"vroom/internal/webpage"
 )
 
 func main() {
 	var (
-		stats    = flag.Bool("stats", false, "print corpus statistics")
-		record   = flag.String("record", "", "record one site's page to this archive file")
-		siteName = flag.String("site", "dailynews00", "site to record (dailynewsNN, sportlyNN, popularNN)")
-		seed     = flag.Int64("seed", 2017, "corpus seed")
-		news     = flag.Int("news", 50, "news sites")
-		sports   = flag.Int("sports", 50, "sports sites")
-		top      = flag.Int("top", 100, "top-100-style sites")
+		record   = flag.String("record", "", "record the site's page to this archive file")
+		siteName = flag.String("site", "dailynews00", "site to record (popular* is Top100, sport* Sports, any other name News)")
+		seed     = flag.Int64("seed", 2017, "generator seed")
 	)
 	flag.Parse()
-
-	corpus := webpage.Generate(webpage.CorpusConfig{Seed: *seed, NumNews: *news, NumSports: *sports, NumTop100: *top})
-	at := time.Date(2017, 8, 21, 12, 0, 0, 0, time.UTC)
-	profile := webpage.Profile{Device: webpage.PhoneSmall, UserID: 11}
-
-	if *record != "" {
-		for _, s := range corpus.Sites {
-			if s.Name == *siteName {
-				sn := s.Snapshot(at, profile, 1)
-				a := replay.FromSnapshot(sn)
-				if err := a.SaveFile(*record); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Printf("recorded %s: %d resources -> %s\n", s.Name, a.Len(), *record)
-				return
-			}
-		}
-		fmt.Fprintf(os.Stderr, "site %q not in corpus\n", *siteName)
+	if *record == "" {
+		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *stats {
-		counts := telemetry.NewDist()
-		bytesTotal := telemetry.NewDist()
-		procFrac := telemetry.NewDist()
-		domains := telemetry.NewDist()
-		for _, s := range corpus.Sites {
-			sn := s.Snapshot(at, profile, 1)
-			counts.Add(float64(sn.Len()))
-			tot, proc := sn.TotalBytes()
-			bytesTotal.Add(float64(tot) / 1024)
-			procFrac.Add(float64(proc) / float64(tot))
-			hosts := map[string]bool{}
-			for _, r := range sn.Ordered() {
-				hosts[r.URL.Host] = true
-			}
-			domains.Add(float64(len(hosts)))
-		}
-		fmt.Printf("sites: %d\n", len(corpus.Sites))
-		fmt.Printf("resources/page:      %s\n", counts.Summary())
-		fmt.Printf("page KB:             %s\n", bytesTotal.Summary())
-		fmt.Printf("processed-byte frac: %s\n", procFrac.Summary())
-		fmt.Printf("domains/page:        %s\n", domains.Summary())
-		return
+	at := time.Date(2017, 8, 21, 12, 0, 0, 0, time.UTC)
+	profile := webpage.Profile{Device: webpage.PhoneSmall, UserID: 11}
+	a := replay.FromSnapshot(webpage.NamedSite(*siteName, *seed).Snapshot(at, profile, 1))
+	if err := a.SaveFile(*record); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-
-	flag.Usage()
+	fmt.Printf("recorded %s: %d resources -> %s\n", *siteName, a.Len(), *record)
 }

@@ -42,10 +42,11 @@
 // flight recorder whose ring is dumped there as a vroom-events artifact
 // only for loads that end degraded, failed, past deadline, or hung.
 //
-// Exit status: 0 on success; 1 when a load hung, when -require-degraded
-// tokens were not all observed, when the scrape was unreachable, when the
-// merged trace failed validation (or joined no cross-process flow), or when
-// an output file could not be written.
+// Exit status: 0 on success; 1 when a load hung (ran 30s past its class's
+// load deadline), when -require-degraded tokens were not all observed, when
+// the scrape was unreachable, when the merged trace failed validation (or
+// joined no cross-process flow), or when an output file could not be
+// written.
 package main
 
 import (
@@ -75,7 +76,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for the client-class draw")
 		faultsRaw   = flag.String("faults", "none", "wire fault regime injected on client dials: none, mild, or severe")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault plan")
-		grace       = flag.Duration("grace", 30*time.Second, "hang-watchdog grace beyond each class's load deadline")
 		jsonOut     = flag.String("json-out", "", "write the storm report (vroom-audit/v1) to this path")
 		scrapeURL   = flag.String("scrape", "", "server /metrics URL to scrape after the storm")
 		scrapeEvery = flag.Duration("scrape-every", 0, "also scrape -scrape periodically during the storm (0 = final scrape only)")
@@ -85,7 +85,6 @@ func main() {
 		traceScrape = flag.String("trace-scrape", "", "server /trace URL; its recording is merged (tracks prefixed srv:) into -trace-out")
 		propagate   = flag.Bool("trace-propagate", false, "mint per-load trace IDs and send them in the vroom-trace header")
 		flightDir   = flag.String("flight-dir", "", "dump per-load flight-recorder rings here for loads that end degraded, failed, late, or hung")
-		flightEvts  = flag.Int("flight-events", 0, "flight-ring capacity per track (default 256)")
 		metricsOut  = flag.String("metrics-out", "", "write the client metric registry as JSON to this path after the storm")
 	)
 	flag.Parse()
@@ -143,17 +142,15 @@ func main() {
 	}
 
 	res := loadgen.Run(loadgen.Config{
-		Roots:        []urlutil.URL{root},
-		Loads:        *loads,
-		Concurrency:  *concurrency,
-		Seed:         *seed,
-		Dial:         dial,
-		Metrics:      reg,
-		HangGrace:    *grace,
-		Trace:        tr,
-		Propagate:    *propagate,
-		FlightDir:    *flightDir,
-		FlightEvents: *flightEvts,
+		Roots:       []urlutil.URL{root},
+		Loads:       *loads,
+		Concurrency: *concurrency,
+		Seed:        *seed,
+		Dial:        dial,
+		Metrics:     reg,
+		Trace:       tr,
+		Propagate:   *propagate,
+		FlightDir:   *flightDir,
 	})
 
 	failed := false

@@ -1,10 +1,11 @@
 // vroom-server replays recorded pages over real HTTP/2 with Vroom's
 // dependency hints and server push, Mahimahi-style: a single listener
-// serves every authority in the archive.
+// serves every authority in the archive. Hints and push are always on; the
+// live baseline-vs-Vroom comparison is examples/livewire.
 //
 // Usage:
 //
-//	vroom-server -archive page.json -listen :8443 [-hints=false] [-push=false]
+//	vroom-server -archive page.json -listen :8443
 //	vroom-server -site dailynews00 -listen :8443   # generate + serve
 //	vroom-server -sites dailynews00,socialites01 -listen :8443   # multi-tenant
 //	vroom-server -site dailynews00 -faults severe -fault-seed 7   # broken world
@@ -23,12 +24,12 @@
 //
 // On SIGTERM/SIGINT the server drains gracefully: admission stops, the
 // listener closes, every HTTP/2 connection gets a GOAWAY, in-flight streams
-// have -drain to finish, background retraining is cancelled, and each hint
+// have 3s to finish, background retraining is cancelled, and each hint
 // shard's final table version is checkpointed to the log.
 //
 // With -state-dir trained hint tables are durable: every retrain publish
-// appends to a per-origin CRC-framed write-ahead log (-fsync always|none),
-// periodic snapshots compact it (-snapshot-every, -wal-rotate), and the
+// appends to a per-origin CRC-framed write-ahead log, fsynced on every
+// append; periodic snapshots compact it (-snapshot-every, -wal-rotate); the
 // SIGTERM drain writes one final snapshot per origin — each checkpoint logs
 // its snapshot path and bytes, and a failed final flush exits nonzero. On
 // restart the store recovers the newest valid snapshot plus WAL tail,
@@ -46,17 +47,15 @@
 // vroom-events JSON for a client to merge with its own. The sidecar is
 // observability-only — replay traffic never touches it.
 //
-// With -accounting (on by default) the serving path keeps per-tenant
-// hint-quality ledgers: each served hint opens a bounded prediction
-// window (-accounting-window) that settles used when the client requests
-// the hinted URL and unused when it expires, with unpredicted subresource
-// fetches counted as misses and redundant pushes as wasted bytes. The
-// ledgers surface as bounded-cardinality vroom_hint_quality_* series on
-// /metrics (vroom-audit turns them into a per-origin efficacy report) and
-// persist with -state-dir snapshots. -runtime-metrics-every samples Go
+// The serving path keeps per-tenant hint-quality ledgers: each served hint
+// opens a bounded prediction window (-accounting-window) that settles used
+// when the client requests the hinted URL and unused when it expires,
+// with unpredicted subresource fetches counted as misses and redundant
+// pushes as wasted bytes. The ledgers surface as bounded-cardinality
+// vroom_hint_quality_* series on /metrics (vroom-audit turns them into a
+// per-origin efficacy report) and persist with -state-dir snapshots. -runtime-metrics-every samples Go
 // runtime vitals (heap, goroutines, GC pause, scheduler latency) into the
-// same registry, and -pprof-labels stamps request goroutines with
-// origin/phase labels for /debug/pprof profiles.
+// same registry.
 //
 // All operational output is structured (log/slog): -log-format selects
 // text or json, -log-level the threshold. Message values are single words
@@ -90,6 +89,9 @@ import (
 	"vroom/internal/wire"
 )
 
+// drainBudget is how long in-flight streams get to finish on SIGTERM.
+const drainBudget = 3 * time.Second
+
 // tenant is one origin to be registered in the hint store.
 type tenant struct {
 	origin  string
@@ -101,17 +103,14 @@ type tenant struct {
 func main() {
 	var (
 		archivePath = flag.String("archive", "", "replay archive (JSON) to serve")
-		siteName    = flag.String("site", "", "generate and serve this site instead (e.g. dailynews00)")
+		siteName    = flag.String("site", "", "generate and serve this site instead (popular* is Top100, sport* Sports, any other name News)")
 		sitesRaw    = flag.String("sites", "", "comma-separated site names to generate and serve multi-tenant")
 		seed        = flag.Int64("seed", 2017, "generator seed when using -site/-sites")
 		listen      = flag.String("listen", "127.0.0.1:8443", "listen address (h2c)")
-		sendHints   = flag.Bool("hints", true, "attach dependency-hint headers")
-		push        = flag.Bool("push", true, "push high-priority same-origin dependencies (h2 only)")
 		think       = flag.Duration("think", 10*time.Millisecond, "per-request server think time")
 		proto       = flag.String("proto", "h2", "wire protocol: h2 or h1")
 		faultsRaw   = flag.String("faults", "none", "server-side fault regime: none, mild, or severe")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault plan (same seed => same injected faults)")
-		drain       = flag.Duration("drain", 3*time.Second, "graceful-drain budget for in-flight streams on SIGTERM")
 		telAddr     = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /readyz, /trace, /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 		traceOn     = flag.Bool("trace", false, "record serving-path spans (adopting propagated vroom-trace contexts); scrape them at /trace on -telemetry-addr")
 		logFormat   = flag.String("log-format", "text", "structured log format: text or json")
@@ -119,21 +118,17 @@ func main() {
 
 		hintTTL  = flag.Duration("hint-ttl", time.Hour, "hint-table freshness window before a background retrain")
 		maxStale = flag.Duration("max-stale", 0, "age past which hints are shed instead of served stale (default 4x -hint-ttl)")
-		workers  = flag.Int("train-workers", 2, "background training workers")
 
 		stateDir  = flag.String("state-dir", "", "persist trained hint tables here (snapshot+WAL per origin); on restart the store serves restored tables immediately, tagged stale-restore")
 		snapEvery = flag.Duration("snapshot-every", 30*time.Second, "periodic full-snapshot interval under -state-dir")
 		walRotate = flag.Int64("wal-rotate", 1<<20, "WAL size in bytes past which a snapshot is cut and the WAL reset")
-		fsyncMode = flag.String("fsync", "always", "fsync policy for -state-dir writes: always or none")
 
 		maxConc  = flag.Int("max-concurrent", 64, "requests admitted at once (0 disables admission control)")
 		maxQueue = flag.Int("max-queue", 0, "admission queue depth (default 2x -max-concurrent)")
 		maxWait  = flag.Duration("max-wait", time.Second, "longest a request waits for admission before shedding")
 
-		accounting  = flag.Bool("accounting", true, "per-tenant hint-quality accounting (precision, recall, wasted push bytes) exported as vroom_hint_quality_* series")
-		acctWindow  = flag.Duration("accounting-window", 0, "how long an emitted hint may wait for its request before settling unused (default 5s)")
-		rtEvery     = flag.Duration("runtime-metrics-every", 5*time.Second, "Go-runtime vitals sampling interval for /metrics (0 disables); needs -telemetry-addr")
-		pprofLabels = flag.Bool("pprof-labels", false, "stamp request goroutines with origin/phase pprof labels (small per-request allocation)")
+		acctWindow = flag.Duration("accounting-window", 0, "how long an emitted hint may wait for its request before settling unused (default 5s)")
+		rtEvery    = flag.Duration("runtime-metrics-every", 5*time.Second, "Go-runtime vitals sampling interval for /metrics (0 disables); needs -telemetry-addr")
 	)
 	flag.Parse()
 
@@ -163,19 +158,11 @@ func main() {
 	// whatever the previous process persisted — restored origins skip the
 	// synchronous warmup and serve their disk tables immediately (tagged
 	// stale-restore) while background retraining refreshes them.
-	storeCfg := hintstore.Config{
-		TTL: *hintTTL, MaxStale: *maxStale, Workers: *workers, Log: log,
-	}
+	storeCfg := hintstore.Config{TTL: *hintTTL, MaxStale: *maxStale, Log: log}
 	var store *hintstore.Store
 	if *stateDir != "" {
-		fsync, err := persist.ParseFsync(*fsyncMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		storeCfg.Persist = persist.Options{
-			Dir: *stateDir, SnapshotEvery: *snapEvery,
-			WALRotateBytes: *walRotate, Fsync: fsync,
+			Dir: *stateDir, SnapshotEvery: *snapEvery, WALRotateBytes: *walRotate,
 		}
 		var rec *persist.Recovery
 		store, rec, err = hintstore.NewDurable(storeCfg)
@@ -202,7 +189,7 @@ func main() {
 			"version", res.Version, "ms", int(time.Since(t0).Milliseconds()))
 	}
 	log.Info("store-ready", "tenants", store.Tenants(),
-		"ms", int(time.Since(trainStart).Milliseconds()), "ttl", hintTTL.String(), "workers", *workers)
+		"ms", int(time.Since(trainStart).Milliseconds()), "ttl", hintTTL.String())
 
 	var gate *overload.Gate
 	if *maxConc > 0 {
@@ -212,15 +199,12 @@ func main() {
 	}
 
 	srv := wire.NewServer(archive, fallback, device, wire.ServerConfig{
-		SendHints: *sendHints, Push: *push, ThinkTime: *think,
-		ProfileLabels: *pprofLabels,
+		SendHints: true, Push: true, ThinkTime: *think,
 	})
 	srv.Store = store
 	srv.Gate = gate
 	srv.Log = log
-	if *accounting {
-		srv.Acct = wire.NewAccountant(wire.AccountingConfig{Store: store, Window: *acctWindow})
-	}
+	srv.Acct = wire.NewAccountant(wire.AccountingConfig{Store: store, Window: *acctWindow})
 	if regime != faults.RegimeNone {
 		plan := faults.New(*faultSeed, faults.RegimeConfig(regime))
 		// The root document must stay loadable or every run is a trivial
@@ -303,8 +287,8 @@ func main() {
 		os.Exit(1)
 	}
 	log.Info("serving", "resources", archive.Len(), "root", archive.RootURL,
-		"addr", l.Addr().String(), "proto", *proto, "hints", *sendHints,
-		"push", *push, "faults", regime.String(), "gate", *maxConc)
+		"addr", l.Addr().String(), "proto", *proto,
+		"faults", regime.String(), "gate", *maxConc)
 
 	serveErr := make(chan error, 1)
 	go func() {
@@ -324,10 +308,10 @@ func main() {
 			os.Exit(1)
 		}
 	case s := <-sig:
-		log.Info("draining", "signal", s.String(), "budget", drain.String())
+		log.Info("draining", "signal", s.String(), "budget", drainBudget.String())
 		draining.Store(true)
 		l.Close()
-		cps := srv.Drain(*drain)
+		cps := srv.Drain(drainBudget)
 		flushFailed := false
 		for _, cp := range cps {
 			args := []any{"origin", cp.Origin, "version", cp.Version,
@@ -390,7 +374,7 @@ func buildWorld(archivePath, siteName, sitesRaw string, seed int64,
 			tenants  []tenant
 		)
 		for i, name := range names {
-			site := webpage.NewSite(name, webpage.News, seed+int64(i))
+			site := webpage.NamedSite(name, seed+int64(i))
 			a := replay.FromSnapshot(site.Snapshot(at, webpage.Profile{Device: device, UserID: 11}, 1))
 			root, err := urlutil.Parse(a.RootURL)
 			if err != nil {

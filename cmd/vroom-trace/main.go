@@ -1,11 +1,13 @@
-// vroom-trace loads one generated page under a policy and prints a
-// WProf-style waterfall plus a phase summary, for inspecting why a policy
-// is fast or slow.
+// vroom-trace loads one generated page under a policy and explains it: a
+// load summary plus the critical-path blame decomposition of PLT (cpu,
+// network wait, scheduler hold, ...), for inspecting why a policy is fast
+// or slow. It exits nonzero when the blame segments do not sum to PLT
+// within 1ms.
 //
 // Usage:
 //
-//	vroom-trace -site dailynews00 -policy vroom [-rows 40] [-width 100]
-//	vroom-trace -site dailynews00 -policy vroom -blame -perfetto out.json
+//	vroom-trace -site dailynews00 -policy vroom
+//	vroom-trace -site dailynews00 -policy vroom -perfetto out.json
 package main
 
 import (
@@ -15,63 +17,50 @@ import (
 	"strings"
 	"time"
 
-	"vroom/internal/har"
 	"vroom/internal/obs"
 	"vroom/internal/runner"
-	"vroom/internal/trace"
 	"vroom/internal/webpage"
 )
 
 func main() {
 	var (
-		siteName = flag.String("site", "dailynews00", "site name (category inferred from the name)")
+		siteName = flag.String("site", "dailynews00", "site name (popular* is Top100, sport* Sports, any other name News)")
 		policy   = flag.String("policy", "vroom", strings.Join(policyNames(), "|"))
 		seed     = flag.Int64("seed", 2017, "generator seed")
-		rows     = flag.Int("rows", 48, "max waterfall rows (0 = all)")
-		width    = flag.Int("width", 90, "waterfall width")
-		allRes   = flag.Bool("all", false, "include speculative fetches")
-		harOut   = flag.String("har", "", "also write a HAR 1.2 file to this path")
-		blame    = flag.Bool("blame", false, "print the critical-path blame decomposition of PLT")
 		perfetto = flag.String("perfetto", "", "write a Chrome trace-event JSON file to this path (load in ui.perfetto.dev)")
 	)
 	flag.Parse()
 
-	cat := webpage.News
-	switch {
-	case strings.HasPrefix(*siteName, "sport"):
-		cat = webpage.Sports
-	case strings.HasPrefix(*siteName, "popular"):
-		cat = webpage.Top100
-	}
-	site := webpage.NewSite(*siteName, cat, *seed)
-	opts := runner.Options{
+	rec := &obs.Recording{}
+	res, err := runner.Run(webpage.NamedSite(*siteName, *seed), runner.Policy(*policy), runner.Options{
 		Time:    time.Date(2017, 8, 21, 12, 0, 0, 0, time.UTC),
 		Profile: webpage.Profile{Device: webpage.PhoneSmall, UserID: 11},
 		Nonce:   1,
-	}
-	var rec *obs.Recording
-	if *blame || *perfetto != "" {
-		rec = &obs.Recording{}
-		opts.Trace = rec
-	}
-	res, err := runner.Run(site, runner.Policy(*policy), opts)
+		Trace:   rec,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Print(trace.Summary(res))
-	fmt.Println()
-	fmt.Print(trace.Waterfall(res, trace.Options{Width: *width, MaxRows: *rows, RequiredOnly: !*allRes}))
+	fmt.Printf("load summary (%s)\n", res.Scheduler)
+	fmt.Printf("  PLT                   %8.2fs\n", res.PLT.Seconds())
+	fmt.Printf("  above-the-fold        %8.2fs\n", res.AFT.Seconds())
+	fmt.Printf("  speed index           %8.0f\n", res.SpeedIndex)
+	fmt.Printf("  all discovered by     %8.2fs\n", res.DiscoverAll.Seconds())
+	fmt.Printf("  all fetched by        %8.2fs\n", res.FetchAll.Seconds())
+	fmt.Printf("  high-pri discovered   %8.2fs\n", res.DiscoverHigh.Seconds())
+	fmt.Printf("  high-pri fetched      %8.2fs\n", res.FetchHigh.Seconds())
+	fmt.Printf("  main thread busy      %8.2fs (idle %.0f%%)\n", res.CPUBusy.Seconds(), res.IdleFrac*100)
+	fmt.Printf("  bytes                 %8.0f KB (%0.0f KB wasted)\n", float64(res.BytesFetched)/1024, float64(res.WastedBytes)/1024)
+	fmt.Printf("  resources             %5d required / %d fetched\n", res.NumRequired, res.NumFetched)
 
-	if *blame {
-		rep := obs.Blame(rec, res.PLT)
-		fmt.Println()
-		fmt.Print(rep.Format())
-		if diff := rep.Sum() - res.PLT; diff > time.Millisecond || diff < -time.Millisecond {
-			fmt.Fprintf(os.Stderr, "blame segments sum to %v but PLT is %v (off by %v)\n",
-				rep.Sum(), res.PLT, diff)
-			os.Exit(1)
-		}
+	rep := obs.Blame(rec, res.PLT)
+	fmt.Println()
+	fmt.Print(rep.Format())
+	if diff := rep.Sum() - res.PLT; diff > time.Millisecond || diff < -time.Millisecond {
+		fmt.Fprintf(os.Stderr, "blame segments sum to %v but PLT is %v (off by %v)\n",
+			rep.Sum(), res.PLT, diff)
+		os.Exit(1)
 	}
 
 	if *perfetto != "" {
@@ -90,20 +79,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("\nPerfetto trace written to %s\n", *perfetto)
-	}
-
-	if *harOut != "" {
-		f, err := os.Create(*harOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := har.FromResult(res, site.RootURL().String(), opts.Time).Write(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nHAR written to %s\n", *harOut)
 	}
 }
 

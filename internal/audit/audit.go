@@ -497,7 +497,7 @@ func (r *Report) renderScrape(w io.Writer, top int) {
 			fmtBytes(int64(rt.HeapBytes)), rt.Goroutines, rt.GCCycles, rt.GCPauseP99Ms, rt.SchedLatP99Ms)
 	}
 	if len(r.Origins) == 0 {
-		fmt.Fprintln(w, "  (no per-origin accounting in scrape — server running without -accounting?)")
+		fmt.Fprintln(w, "  (no per-origin accounting in scrape — no hints served yet?)")
 		return
 	}
 

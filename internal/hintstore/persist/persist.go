@@ -48,17 +48,6 @@ func (f FsyncPolicy) String() string {
 	return "always"
 }
 
-// ParseFsync parses the -fsync CLI value.
-func ParseFsync(s string) (FsyncPolicy, error) {
-	switch s {
-	case "always", "":
-		return FsyncAlways, nil
-	case "none":
-		return FsyncNone, nil
-	}
-	return FsyncAlways, fmt.Errorf("persist: unknown fsync policy %q (want always or none)", s)
-}
-
 // CrashFn is the injection hook the torture harness installs: it is
 // consulted at every named write boundary, and a true verdict simulates
 // kill -9 right there — the in-progress write is cut to torn bytes and the

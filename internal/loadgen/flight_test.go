@@ -22,7 +22,6 @@ func TestStormFlightDumps(t *testing.T) {
 	cfg.Trace = obs.NewWall(storm)
 	cfg.Propagate = true
 	cfg.FlightDir = dir
-	cfg.FlightEvents = 128
 
 	res := Run(cfg)
 	if res.Hung != 0 {

@@ -84,10 +84,6 @@ type Config struct {
 	// Metrics, when set, aggregates client-side wire metrics across all
 	// loads.
 	Metrics *telemetry.Registry
-	// HangGrace pads each class's LoadDeadline for the hang watchdog
-	// (default 30s). LoadPage guarantees return by its deadline; the grace
-	// absorbs scheduler noise, so any firing is a real hang.
-	HangGrace time.Duration
 	// Trace, when set, records every load's spans into one shared storm
 	// recording (it must come from obs.NewWall — loads emit concurrently).
 	Trace *obs.Tracer
@@ -99,9 +95,6 @@ type Config struct {
 	// a vroom-events artifact only when the load ends degraded, failed,
 	// past deadline, or hung.
 	FlightDir string
-	// FlightEvents sizes each flight ring per track (default
-	// obs.DefaultFlightEvents).
-	FlightEvents int
 	// RestartAfter and Restart arm the kill-and-restart storm mode: once
 	// RestartAfter loads have completed, Restart runs exactly once while the
 	// remaining workers keep storming through the outage. The hook plays
@@ -126,12 +119,10 @@ func (c Config) concurrency() int {
 	return 32
 }
 
-func (c Config) hangGrace() time.Duration {
-	if c.HangGrace > 0 {
-		return c.HangGrace
-	}
-	return 30 * time.Second
-}
+// hangGrace pads each class's LoadDeadline for the hang watchdog. LoadPage
+// guarantees return by its deadline; the grace absorbs scheduler noise, so
+// any firing is a real hang.
+const hangGrace = 30 * time.Second
 
 // Sample is one completed (or hung) load.
 type Sample struct {
@@ -309,7 +300,7 @@ func runOne(cfg Config, idx int, cl ClientClass, root urlutil.URL) Sample {
 	// space; without a storm tracer the ring is the only sink.
 	var flight *obs.FlightRecorder
 	if cfg.FlightDir != "" {
-		flight = obs.NewFlightRecorder(cfg.FlightEvents)
+		flight = obs.NewFlightRecorder(obs.DefaultFlightEvents)
 		if cfg.Trace != nil {
 			c.Trace = cfg.Trace.Fork(flight)
 		} else {
@@ -340,7 +331,7 @@ func runOne(cfg Config, idx int, cl ClientClass, root urlutil.URL) Sample {
 		done <- outcome{rep}
 	}()
 
-	watchdog := time.NewTimer(cl.LoadDeadline + cfg.hangGrace())
+	watchdog := time.NewTimer(cl.LoadDeadline + hangGrace)
 	defer watchdog.Stop()
 	select {
 	case o := <-done:

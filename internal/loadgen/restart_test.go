@@ -106,7 +106,6 @@ func TestStormKillAndRestart(t *testing.T) {
 		Dial: func(string) (net.Conn, error) {
 			return curLink.Load().Dial()
 		},
-		HangGrace:    20 * time.Second,
 		RestartAfter: loads / 4,
 		Restart: func() error {
 			// kill -9: no drain, no flush — the old process just stops.

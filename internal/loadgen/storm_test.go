@@ -136,7 +136,6 @@ func (w *stormWorld) config(loads, concurrency int) Config {
 		Concurrency: concurrency,
 		Seed:        42,
 		Dial:        func(origin string) (net.Conn, error) { return w.shim.Dial(origin, w.link.Dial) },
-		HangGrace:   20 * time.Second,
 	}
 }
 

@@ -329,7 +329,7 @@ func criticalPath(rec *Recording, end time.Time) []PathNode {
 	return chain
 }
 
-// Format renders the report as the text block vroom-trace -blame prints.
+// Format renders the report as the text block vroom-trace prints.
 func (r Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "PLT %s\n", fmtDur(r.PLT))

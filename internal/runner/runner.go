@@ -44,13 +44,24 @@ const (
 	VroomIframeDeps  Policy = "vroom-iframe-deps"  // hint iframe-derived deps too
 )
 
+// policies is every runnable policy, in AllPolicies order.
+var policies = [...]Policy{
+	HTTP1, H2, H2PushAllStatic, Vroom, VroomFirstParty, PushAllFetchASAP,
+	PushHighNoHints, PushAllNoHints, DepsFromPrevLoad, OfflineOnly,
+	OnlineOnly, Polaris, CPUOnly, NetworkOnly, VroomNoSerialize, VroomIframeDeps,
+}
+
 // AllPolicies lists every runnable policy.
-func AllPolicies() []Policy {
-	return []Policy{
-		HTTP1, H2, H2PushAllStatic, Vroom, VroomFirstParty, PushAllFetchASAP,
-		PushHighNoHints, PushAllNoHints, DepsFromPrevLoad, OfflineOnly,
-		OnlineOnly, Polaris, CPUOnly, NetworkOnly, VroomNoSerialize, VroomIframeDeps,
+func AllPolicies() []Policy { return append([]Policy(nil), policies[:]...) }
+
+// known reports whether pol is one of AllPolicies.
+func (pol Policy) known() bool {
+	for _, p := range policies {
+		if p == pol {
+			return true
+		}
 	}
+	return false
 }
 
 // Options configure one load.
@@ -99,8 +110,12 @@ func (o *Options) fill() {
 	}
 }
 
-// Run executes one page load of site under the given policy.
+// Run executes one page load of site under the given policy. A policy
+// outside AllPolicies is an error.
 func Run(site *webpage.Site, pol Policy, opts Options) (browser.Result, error) {
+	if !pol.known() {
+		return browser.Result{}, fmt.Errorf("runner: unknown policy %q", pol)
+	}
 	opts.fill()
 	eng := event.New(opts.Time)
 	sn := opts.snapshot(site, opts.Time, opts.Profile, opts.Nonce)

@@ -42,6 +42,21 @@ func TestAllPoliciesComplete(t *testing.T) {
 	}
 }
 
+// TestUnknownPolicyRejected pins that a misspelled policy is an error, not
+// an h2-like load through every switch's default branch, and that the check
+// costs Run no allocation.
+func TestUnknownPolicyRejected(t *testing.T) {
+	for _, pol := range []Policy{"vrom", "", "VROOM"} {
+		if _, err := Run(newsSite(1234), pol, Options{Time: loadTime, Nonce: 1}); err == nil ||
+			!strings.Contains(err.Error(), "unknown policy") {
+			t.Errorf("Run(%q) error = %v, want unknown policy", pol, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = VroomIframeDeps.known() }); n != 0 {
+		t.Errorf("policy check allocates %v per Run", n)
+	}
+}
+
 func TestVroomBeatsH2(t *testing.T) {
 	var vroomWins int
 	const n = 8

@@ -78,12 +78,6 @@ func (d *Dist) Mean() float64 {
 	return s / float64(len(d.values))
 }
 
-// Summary formats the quartiles.
-func (d *Dist) Summary() string {
-	return fmt.Sprintf("p25=%.2f p50=%.2f p75=%.2f p95=%.2f n=%d",
-		d.Percentile(25), d.Median(), d.Percentile(75), d.Percentile(95), d.N())
-}
-
 // TableRow is one labelled distribution in a Table.
 type TableRow struct {
 	Label string

@@ -111,7 +111,7 @@ type jsonDump struct {
 }
 
 // WriteJSON dumps the registry as JSON, the machine-readable counterpart of
-// the text scrape (vroom-client -metrics-out). Histograms carry count, sum,
+// the text scrape (vroom-load -metrics-out). Histograms carry count, sum,
 // extremes, and headline quantiles instead of raw buckets.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	dump := jsonDump{}

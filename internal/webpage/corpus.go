@@ -3,6 +3,7 @@ package webpage
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 )
 
 // Corpus is a set of generated sites used by the experiments.
@@ -32,4 +33,18 @@ func Generate(cfg CorpusConfig) *Corpus {
 		c.Sites = append(c.Sites, NewSite(fmt.Sprintf("sportly%02d", i), Sports, r.Int63()))
 	}
 	return c
+}
+
+// NamedSite builds the page a command-line site name stands for. The
+// category follows Generate's naming: a name starting "popular" is Top100,
+// one starting "sport" is Sports, and any other name is News.
+func NamedSite(name string, seed int64) *Site {
+	cat := News
+	switch {
+	case strings.HasPrefix(name, "sport"):
+		cat = Sports
+	case strings.HasPrefix(name, "popular"):
+		cat = Top100
+	}
+	return NewSite(name, cat, seed)
 }

@@ -241,9 +241,6 @@ func (sn *Snapshot) Ordered() []*Resource {
 	return out
 }
 
-// Len returns the number of resources in the snapshot.
-func (sn *Snapshot) Len() int { return len(sn.order) }
-
 // URLSet returns the set of resource URL strings.
 func (sn *Snapshot) URLSet() map[string]bool {
 	set := make(map[string]bool, len(sn.order))
@@ -251,19 +248,6 @@ func (sn *Snapshot) URLSet() map[string]bool {
 		set[k] = true
 	}
 	return set
-}
-
-// TotalBytes returns the sum of all resource sizes, and the subset that
-// needs processing (the paper: HTML/CSS/JS are ~25% of page bytes).
-func (sn *Snapshot) TotalBytes() (total, processed int64) {
-	for _, k := range sn.order {
-		r := sn.resources[k]
-		total += int64(r.Size)
-		if r.Type.NeedsProcessing() {
-			processed += int64(r.Size)
-		}
-	}
-	return total, processed
 }
 
 func (sn *Snapshot) add(r *Resource) {

@@ -18,10 +18,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 	s := testSite(t, News, 42)
 	a := s.Snapshot(t0, Profile{Device: PhoneSmall, UserID: 7}, 1)
 	b := s.Snapshot(t0, Profile{Device: PhoneSmall, UserID: 7}, 1)
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
-	}
 	ra, rb := a.Ordered(), b.Ordered()
+	if len(ra) != len(rb) {
+		t.Fatalf("lengths differ: %d vs %d", len(ra), len(rb))
+	}
 	for i := range ra {
 		if ra[i].URL != rb[i].URL {
 			t.Fatalf("resource %d differs: %s vs %s", i, ra[i].URL, rb[i].URL)
@@ -165,10 +165,12 @@ func TestByteMix(t *testing.T) {
 	var totalAll, procAll int64
 	for i := 0; i < 10; i++ {
 		s := NewSite("mixcheck", News, int64(1000+i))
-		sn := s.Snapshot(t0, Profile{}, 1)
-		tot, proc := sn.TotalBytes()
-		totalAll += tot
-		procAll += proc
+		for _, r := range s.Snapshot(t0, Profile{}, 1).Ordered() {
+			totalAll += int64(r.Size)
+			if r.Type.NeedsProcessing() {
+				procAll += int64(r.Size)
+			}
+		}
 	}
 	frac := float64(procAll) / float64(totalAll)
 	if frac < 0.15 || frac > 0.45 {
@@ -177,8 +179,8 @@ func TestByteMix(t *testing.T) {
 }
 
 func TestResourceCounts(t *testing.T) {
-	top := NewSite("a", Top100, 1).Snapshot(t0, Profile{}, 1).Len()
-	news := NewSite("b", News, 2).Snapshot(t0, Profile{}, 1).Len()
+	top := len(NewSite("a", Top100, 1).Snapshot(t0, Profile{}, 1).Ordered())
+	news := len(NewSite("b", News, 2).Snapshot(t0, Profile{}, 1).Ordered())
 	if top < 40 || top > 250 {
 		t.Errorf("top100 resource count %d implausible", top)
 	}
@@ -244,5 +246,33 @@ func TestShoppingCategoryMoreDynamic(t *testing.T) {
 	shop, top := churn(Shopping), churn(Top100)
 	if shop <= top {
 		t.Errorf("shopping churn %.3f not above top100 %.3f", shop, top)
+	}
+}
+
+// TestNamedSiteCategory pins the name-prefix rule every command uses to
+// turn -site NAME into a page, and that a name builds exactly the page
+// NewSite builds for its category and seed.
+func TestNamedSiteCategory(t *testing.T) {
+	prof := Profile{Device: PhoneSmall, UserID: 11}
+	for _, tc := range []struct {
+		name string
+		want Category
+	}{
+		{"popular03", Top100},
+		{"sportly00", Sports},
+		{"dailynews00", News},
+		{"socialites01", News},
+	} {
+		got := NamedSite(tc.name, 2017)
+		if got.Category != tc.want {
+			t.Errorf("NamedSite(%q) is %v, want %v", tc.name, got.Category, tc.want)
+			continue
+		}
+		a := got.Snapshot(t0, prof, 1)
+		b := NewSite(tc.name, tc.want, 2017).Snapshot(t0, prof, 1)
+		if a.Root != b.Root || len(a.Ordered()) != len(b.Ordered()) ||
+			a.RootResource().Body != b.RootResource().Body {
+			t.Errorf("NamedSite(%q) differs from NewSite(%q, %v, 2017)", tc.name, tc.name, tc.want)
+		}
 	}
 }

@@ -7,9 +7,7 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"log/slog"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,11 +63,6 @@ type ServerConfig struct {
 	Push bool
 	// ThinkTime delays every response, emulating backend work.
 	ThinkTime time.Duration
-	// ProfileLabels stamps every request's handler goroutine with pprof
-	// labels (origin, phase) so CPU and goroutine profiles decompose per
-	// tenant. Off by default: labeling allocates a label set per request,
-	// which the zero-alloc serving contract only tolerates opt-in.
-	ProfileLabels bool
 }
 
 // Server replays an archive over HTTP/2, serving every authority in the
@@ -514,57 +507,41 @@ func text(h map[string][]string, status int, msg string) (int, []byte) {
 // Dependency hints still work (Link headers predate HTTP/2) but there is
 // no push. The admission slot is released before the transport writes the
 // response.
-func (s *Server) ServeH1(r *h2.Request) (resp *h2.Response) {
-	s.labeled(r, "serve-h1", func() {
-		st := s.beginServe("h1", r)
-		defer st.span.End()
-		h := make(map[string][]string)
-		rp := s.answer("h1", r, &st, h)
-		if rp.release != nil {
-			defer rp.release()
-		}
-		s.degrade(h, rp.degraded, &st, r.Authority)
-		resp = &h2.Response{Status: rp.status, Header: h, Body: rp.body}
-	})
-	return resp
+func (s *Server) ServeH1(r *h2.Request) *h2.Response {
+	st := s.beginServe("h1", r)
+	defer st.span.End()
+	h := make(map[string][]string)
+	rp := s.answer("h1", r, &st, h)
+	if rp.release != nil {
+		defer rp.release()
+	}
+	s.degrade(h, rp.degraded, &st, r.Authority)
+	return &h2.Response{Status: rp.status, Header: h, Body: rp.body}
 }
 
 // ServeH2 implements h2.Handler. Push is the only step HTTP/2 adds to the
 // answer; the admission slot is held until the body is written.
 func (s *Server) ServeH2(w *h2.ResponseWriter, r *h2.Request) {
-	s.labeled(r, "serve-h2", func() {
-		st := s.beginServe("h2", r)
-		defer st.span.End()
-		rp := s.answer("h2", r, &st, w.Header())
-		if rp.release != nil {
-			defer rp.release()
-		}
-		if s.Cfg.Push && len(rp.hs) > 0 {
-			// Shed push under queueing, and when the client is nearly out of
-			// budget: speculative bytes now would only compete with the
-			// response it is waiting for.
-			if dl := requestDeadline(r); rp.level >= overload.LevelShedPush ||
-				!dl.IsZero() && time.Until(dl) < 10*time.Millisecond {
-				rp.degraded = append(rp.degraded, DegradedShedPush)
-			} else {
-				s.push(w, r, rp.hs, &st)
-			}
-		}
-		s.degrade(w.Header(), rp.degraded, &st, r.Authority)
-		w.WriteHeader(rp.status)
-		w.Write(rp.body)
-	})
-}
-
-// labeled runs serve under pprof labels (origin, phase) when ProfileLabels
-// is on, and plainly otherwise.
-func (s *Server) labeled(r *h2.Request, phase string, serve func()) {
-	if !s.Cfg.ProfileLabels {
-		serve()
-		return
+	st := s.beginServe("h2", r)
+	defer st.span.End()
+	rp := s.answer("h2", r, &st, w.Header())
+	if rp.release != nil {
+		defer rp.release()
 	}
-	pprof.Do(context.Background(), pprof.Labels("origin", r.Authority, "phase", phase),
-		func(context.Context) { serve() })
+	if s.Cfg.Push && len(rp.hs) > 0 {
+		// Shed push under queueing, and when the client is nearly out of
+		// budget: speculative bytes now would only compete with the
+		// response it is waiting for.
+		if dl := requestDeadline(r); rp.level >= overload.LevelShedPush ||
+			!dl.IsZero() && time.Until(dl) < 10*time.Millisecond {
+			rp.degraded = append(rp.degraded, DegradedShedPush)
+		} else {
+			s.push(w, r, rp.hs, &st)
+		}
+	}
+	s.degrade(w.Header(), rp.degraded, &st, r.Authority)
+	w.WriteHeader(rp.status)
+	w.Write(rp.body)
 }
 
 // push pushes same-origin high-priority dependencies, once per URL. Each

@@ -1,6 +1,7 @@
 package vroom_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -66,12 +67,43 @@ func TestFacadeArchive(t *testing.T) {
 	at := time.Date(2017, 8, 21, 12, 0, 0, 0, time.UTC)
 	sn := site.Snapshot(at, vroom.Profile{Device: vroom.DevicePhoneSmall, UserID: 1}, 1)
 	a := vroom.RecordSnapshot(sn)
-	if a.Len() != sn.Len() {
-		t.Fatalf("archive %d vs snapshot %d", a.Len(), sn.Len())
+	if a.Len() != len(sn.Ordered()) {
+		t.Fatalf("archive %d vs snapshot %d", a.Len(), len(sn.Ordered()))
 	}
 	r := vroom.TrainResolver(site, at, vroom.DevicePhoneSmall)
 	srv := vroom.NewWireServer(a, r, vroom.DevicePhoneSmall, vroom.WireServerConfig{SendHints: true, Push: true})
 	if srv.H2() == nil {
 		t.Fatal("no h2 server")
+	}
+}
+
+// TestDesignPolicyList keeps DESIGN.md §4's policy list equal to
+// AllPolicies: the paragraph after the "Policies, by `runner` ID" line
+// names every policy ID, in order, and nothing else.
+func TestDesignPolicyList(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const marker = "Policies, by `runner` ID"
+	_, rest, ok := strings.Cut(string(data), marker)
+	if !ok {
+		t.Fatalf("DESIGN.md has no %q line", marker)
+	}
+	// Skip the rest of the marker's paragraph; the list is the next one.
+	_, rest, _ = strings.Cut(rest, "\n\n")
+	list, _, _ := strings.Cut(rest, "\n\n")
+	var doc []string
+	for i, f := range strings.Split(list, "`") {
+		if i%2 == 1 {
+			doc = append(doc, f)
+		}
+	}
+	var code []string
+	for _, p := range vroom.AllPolicies() {
+		code = append(code, string(p))
+	}
+	if strings.Join(doc, " ") != strings.Join(code, " ") {
+		t.Errorf("DESIGN.md §4 lists\n  %s\nbut AllPolicies is\n  %s", strings.Join(doc, " "), strings.Join(code, " "))
 	}
 }
