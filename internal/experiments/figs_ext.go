@@ -116,13 +116,9 @@ func Ext02(o Options) (*Result, error) {
 	}
 	var rows []telemetry.TableRow
 	for _, pc := range pols {
-		pc := pc
 		plts := make([]time.Duration, len(sites))
 		err := forEachSite(sites, o.Workers, func(si int, s *webpage.Site) error {
 			cfg := netsim.LTEDefaults(netsim.HTTP2)
-			if pc.pol == runner.HTTP1 {
-				cfg = netsim.LTEDefaults(netsim.HTTP1)
-			}
 			cfg.Trace = netsim.DefaultLTETrace(int64(si + 1))
 			res, err := runner.Run(s, pc.pol, runner.Options{
 				Time: o.Time, Profile: o.Profile, Nonce: 1, Net: &cfg, Caches: o.caches,

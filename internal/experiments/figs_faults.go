@@ -78,7 +78,6 @@ func Ext03(o Options) (*Result, error) {
 			counters[reg].Counter(name)
 		}
 		for _, pol := range runner.AllPolicies() {
-			pol := pol
 			// Fault counters aggregate commutatively and each load's fault
 			// plan is seeded by (site, load), so the parallel sweep reports
 			// exactly what the serial one would.
@@ -95,17 +94,13 @@ func Ext03(o Options) (*Result, error) {
 				return nil, err
 			}
 			d := telemetry.NewDist()
-			var vroomLoads []browser.Result
 			for _, res := range loads {
 				d.AddDuration(res.PLT)
-				if pol == runner.Vroom {
-					vroomLoads = append(vroomLoads, res)
-				}
 			}
 			if pol == runner.Vroom {
 				// The per-resource distributions show how the fault regime
 				// shifts time-to-first-byte and hold times under Vroom.
-				observeLoadHists(hists, fmt.Sprintf("%s/vroom", reg), vroomLoads)
+				observeLoadHists(hists, fmt.Sprintf("%s/vroom", reg), loads)
 			}
 			dists[cell{pol, reg}] = d
 			rows = append(rows, telemetry.TableRow{Label: fmt.Sprintf("%s/%s", reg, pol), Dist: d})
@@ -126,9 +121,13 @@ func Ext03(o Options) (*Result, error) {
 	vroomSevere := dists[cell{runner.Vroom, faults.RegimeSevere}].Median()
 	h2Severe := dists[cell{runner.H2, faults.RegimeSevere}].Median()
 	vroomNone := dists[cell{runner.Vroom, faults.RegimeNone}].Median()
+	verdict := "bad hints degrade to vanilla discovery, they do not break the load"
+	if vroomSevere > h2Severe {
+		verdict = "vroom is slower than no-hints h2 under severe faults"
+	}
 	r.Notes = append(r.Notes, fmt.Sprintf(
-		"severe-regime medians: vroom %.2fs vs no-hints h2 %.2fs (%+.1f%%); vroom clean-world %.2fs — bad hints degrade to vanilla discovery, they do not break the load",
-		vroomSevere, h2Severe, (vroomSevere/h2Severe-1)*100, vroomNone))
+		"severe-regime medians: vroom %.2fs vs no-hints h2 %.2fs (%+.1f%%); vroom clean-world %.2fs — %s",
+		vroomSevere, h2Severe, (vroomSevere/h2Severe-1)*100, vroomNone, verdict))
 	r.Text = renderResult(r) + histText("vroom per-resource distributions by regime", hists)
 	return r, nil
 }

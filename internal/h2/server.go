@@ -214,9 +214,14 @@ type serverConn struct {
 	// advertised in the drain GOAWAY.
 	lastStarted uint32
 	draining    bool
+	// promised is what PushOnce pushed on this connection; nil until then.
+	promised map[pushKey]bool
 	// span covers accept to connection close when tracing is on.
 	span obs.Span
 }
+
+// pushKey identifies a pushed request.
+type pushKey struct{ scheme, authority, path string }
 
 func (sc *serverConn) serve() {
 	defer sc.conn.closeWithError(io.EOF)
@@ -495,6 +500,25 @@ func (w *ResponseWriter) Push(req *Request) (*ResponseWriter, error) {
 		return nil, err
 	}
 	return &ResponseWriter{sc: w.sc, streamID: promised.id, header: make(map[string][]string), status: 200}, nil
+}
+
+// PushOnce is Push for a request not yet pushed on this connection, the
+// scope RFC 7540 §8.2 gives a push. A repeat pushes nothing and returns a
+// nil writer and a nil error.
+func (w *ResponseWriter) PushOnce(req *Request) (*ResponseWriter, error) {
+	key := pushKey{req.Scheme, req.Authority, req.Path}
+	sc := w.sc
+	sc.mu.Lock()
+	if sc.promised == nil {
+		sc.promised = make(map[pushKey]bool)
+	}
+	repeat := sc.promised[key]
+	sc.promised[key] = true
+	sc.mu.Unlock()
+	if repeat {
+		return nil, nil
+	}
+	return w.Push(req)
 }
 
 func orGET(m string) string {

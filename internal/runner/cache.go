@@ -21,6 +21,8 @@ import (
 type memo[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*memoEntry[V]
+	// hits counts gets that found an entry, even one still building.
+	hits, misses atomic.Int64
 }
 
 type memoEntry[V any] struct {
@@ -28,22 +30,23 @@ type memoEntry[V any] struct {
 	v    V
 }
 
-// get returns the memoized value for k, building it on first use. The
-// second result reports whether the entry already existed (an in-flight
-// build still counts: the work is deduplicated either way).
-func (c *memo[K, V]) get(k K, build func() V) (V, bool) {
+// get returns the memoized value for k, building it on first use.
+func (c *memo[K, V]) get(k K, build func() V) V {
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = make(map[K]*memoEntry[V])
 	}
 	e, ok := c.m[k]
-	if !ok {
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
 		e = &memoEntry[V]{}
 		c.m[k] = e
 	}
 	c.mu.Unlock()
 	e.once.Do(func() { e.v = build() })
-	return e.v, ok
+	return e.v
 }
 
 // trainKey identifies one offline training pass: the resolver's stable sets
@@ -78,9 +81,6 @@ type Caches struct {
 	training memo[trainKey, *core.Resolver]
 	polaris  memo[polarisKey, *polaris.Graph]
 	snaps    *webpage.SnapshotCache
-
-	trainHits, trainMisses atomic.Int64
-	polHits, polMisses     atomic.Int64
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness, one
@@ -95,10 +95,10 @@ type CacheStats struct {
 // Stats returns the cache's hit/miss counts so far.
 func (c *Caches) Stats() CacheStats {
 	s := CacheStats{
-		TrainingHits:   c.trainHits.Load(),
-		TrainingMisses: c.trainMisses.Load(),
-		PolarisHits:    c.polHits.Load(),
-		PolarisMisses:  c.polMisses.Load(),
+		TrainingHits:   c.training.hits.Load(),
+		TrainingMisses: c.training.misses.Load(),
+		PolarisHits:    c.polaris.hits.Load(),
+		PolarisMisses:  c.polaris.misses.Load(),
 	}
 	s.SnapshotHits, s.SnapshotMisses = c.snaps.Stats()
 	return s
@@ -114,56 +114,27 @@ func NewCaches() *Caches {
 // The returned resolver is shared: callers that set per-load state (Trace)
 // must Clone it first.
 func (c *Caches) TrainedResolver(site *webpage.Site, at time.Time, device webpage.DeviceClass, cfg core.ResolverConfig) *core.Resolver {
-	r, hit := c.training.get(trainKey{site: site, at: at.UnixNano(), device: device, cfg: cfg}, func() *core.Resolver {
+	return c.training.get(trainKey{site: site, at: at.UnixNano(), device: device, cfg: cfg}, func() *core.Resolver {
 		r := core.NewResolver(cfg)
 		r.Train(site, at, device)
 		return r
 	})
-	if hit {
-		c.trainHits.Add(1)
-	} else {
-		c.trainMisses.Add(1)
-	}
-	return r
 }
 
 // PolarisGraph returns the memoized Polaris dependency graph for a site.
 // The graph is read-only during loads (the scheduler keeps its own issued
 // set), so one graph backs any number of concurrent loads.
 func (c *Caches) PolarisGraph(site *webpage.Site, at time.Time, p webpage.Profile, interval time.Duration) *polaris.Graph {
-	g, hit := c.polaris.get(polarisKey{site: site, at: at.UnixNano(), profile: p, interval: interval}, func() *polaris.Graph {
+	return c.polaris.get(polarisKey{site: site, at: at.UnixNano(), profile: p, interval: interval}, func() *polaris.Graph {
 		return polaris.TrainGraph(site, at, p, interval)
 	})
-	if hit {
-		c.polHits.Add(1)
-	} else {
-		c.polMisses.Add(1)
-	}
-	return g
 }
 
 // Snapshot returns the memoized site materialization for the key, shared
-// read-only across loads.
+// read-only across loads. A nil Caches materializes afresh.
 func (c *Caches) Snapshot(site *webpage.Site, at time.Time, p webpage.Profile, nonce uint64) *webpage.Snapshot {
+	if c == nil {
+		return site.Snapshot(at, p, nonce)
+	}
 	return c.snaps.Snapshot(site, at, p, nonce)
-}
-
-// snapshot resolves a materialization through opts.Caches when present.
-func (o *Options) snapshot(site *webpage.Site, at time.Time, p webpage.Profile, nonce uint64) *webpage.Snapshot {
-	if o.Caches != nil {
-		return o.Caches.Snapshot(site, at, p, nonce)
-	}
-	return site.Snapshot(at, p, nonce)
-}
-
-// trainedResolver builds (or fetches) a trained resolver for serverSide.
-// Cached resolvers are cloned so the per-load Trace never lands on the
-// shared instance.
-func trainedResolver(site *webpage.Site, cfg core.ResolverConfig, opts Options) *core.Resolver {
-	if opts.Caches != nil {
-		return opts.Caches.TrainedResolver(site, opts.Time, opts.Profile.Device, cfg).Clone()
-	}
-	r := core.NewResolver(cfg)
-	r.Train(site, opts.Time, opts.Profile.Device)
-	return r
 }

@@ -1,6 +1,10 @@
 // Package runner assembles the full simulated stack — corpus snapshot,
-// network, server farm, resolver, browser, scheduler — for each named
-// policy the paper evaluates, and executes single page loads.
+// network, server farm, resolver, browser, scheduler — and executes single
+// page loads. Each policy the paper evaluates is a preset: one row of a
+// table that places it on every axis (protocol, serving order, link,
+// main-thread processing, resolver and whether it is trained, server
+// behaviour, compliance scope, client scheduler), so a new cell of the
+// grid is one more row.
 package runner
 
 import (
@@ -44,24 +48,83 @@ const (
 	VroomIframeDeps  Policy = "vroom-iframe-deps"  // hint iframe-derived deps too
 )
 
-// policies is every runnable policy, in AllPolicies order.
-var policies = [...]Policy{
-	HTTP1, H2, H2PushAllStatic, Vroom, VroomFirstParty, PushAllFetchASAP,
-	PushHighNoHints, PushAllNoHints, DepsFromPrevLoad, OfflineOnly,
-	OnlineOnly, Polaris, CPUOnly, NetworkOnly, VroomNoSerialize, VroomIframeDeps,
+// scheduler is the client's fetch scheduler.
+type scheduler int
+
+const (
+	asap         scheduler = iota // fetch each resource on discovery
+	asapHints                     // asap, and fetch every hinted URL too
+	h1Throttled                   // HTTP/1.1-era: delayable requests wait behind critical ones
+	staged                        // Vroom's stage gate (§5)
+	polarisGraph                  // Polaris's offline dependency graph
+	crawlList                     // every resource known upfront, fetched in document order (§2)
+)
+
+// spec places one policy on each axis.
+type spec struct {
+	h1           bool // HTTP/1.1, not HTTP/2
+	serialize    bool // compliant servers answer in request order (§5.1)
+	zeroNet      bool // no latency, unbounded rate: §2's CPU bound
+	noProcessing bool // fetch, never evaluate: §2's network bound
+	resolver     core.ResolverConfig
+	trained      bool          // run the resolver's offline loads first
+	server       server.Policy // Compliant stays nil: firstParty sets it
+	firstParty   bool          // only the site's registrable domain complies
+	sched        scheduler
+}
+
+// Resolvers (§4.1.2, Figs 17 and 21, §5) and servers the presets share.
+var (
+	fullRes     = core.DefaultResolverConfig()
+	prevLoadRes = core.ResolverConfig{OfflineLoads: fullRes.OfflineLoads, Interval: fullRes.Interval, UseOffline: true, SingleLoad: true}
+	offlineRes  = core.ResolverConfig{OfflineLoads: fullRes.OfflineLoads, Interval: fullRes.Interval, UseOffline: true}
+	onlineRes   = core.ResolverConfig{OfflineLoads: fullRes.OfflineLoads, Interval: fullRes.Interval, UseOnline: true}
+	iframeRes   = core.ResolverConfig{OfflineLoads: fullRes.OfflineLoads, Interval: fullRes.Interval, UseOffline: true, UseOnline: true, IncludeIframeDescendants: true}
+	vroomSrv    = server.Policy{SendHints: true, Push: server.PushHighPriorityLocal, OnlineAnalysis: true, CacheAware: true}
+	offlineSrv  = server.Policy{SendHints: true, Push: server.PushHighPriorityLocal, CacheAware: true}
+)
+
+// presets is every runnable policy, in AllPolicies order.
+var presets = [...]struct {
+	id Policy
+	spec
+}{
+	{HTTP1, spec{h1: true, resolver: fullRes, sched: h1Throttled}},
+	{H2, spec{resolver: fullRes, sched: asap}},
+	{H2PushAllStatic, spec{resolver: fullRes, trained: true, server: server.Policy{Push: server.PushAllLocal}, firstParty: true, sched: asap}},
+	{Vroom, spec{serialize: true, resolver: fullRes, trained: true, server: vroomSrv, sched: staged}},
+	{VroomFirstParty, spec{serialize: true, resolver: fullRes, trained: true, server: vroomSrv, firstParty: true, sched: staged}},
+	{PushAllFetchASAP, spec{resolver: fullRes, trained: true, server: server.Policy{SendHints: true, Push: server.PushAllLocal, OnlineAnalysis: true}, sched: asapHints}},
+	{PushHighNoHints, spec{resolver: fullRes, trained: true, server: server.Policy{Push: server.PushHighPriorityLocal, OnlineAnalysis: true}, sched: asap}},
+	{PushAllNoHints, spec{resolver: fullRes, trained: true, server: server.Policy{Push: server.PushAllLocal, OnlineAnalysis: true}, sched: asap}},
+	{DepsFromPrevLoad, spec{serialize: true, resolver: prevLoadRes, trained: true, server: offlineSrv, sched: staged}},
+	{OfflineOnly, spec{serialize: true, resolver: offlineRes, trained: true, server: offlineSrv, sched: staged}},
+	{OnlineOnly, spec{serialize: true, resolver: onlineRes, server: vroomSrv, sched: staged}},
+	{Polaris, spec{resolver: fullRes, sched: polarisGraph}},
+	{CPUOnly, spec{zeroNet: true, resolver: fullRes, sched: asap}},
+	{NetworkOnly, spec{noProcessing: true, resolver: fullRes, sched: crawlList}},
+	{VroomNoSerialize, spec{resolver: fullRes, trained: true, server: vroomSrv, sched: staged}},
+	{VroomIframeDeps, spec{serialize: true, resolver: iframeRes, trained: true, server: vroomSrv, sched: staged}},
 }
 
 // AllPolicies lists every runnable policy.
-func AllPolicies() []Policy { return append([]Policy(nil), policies[:]...) }
+func AllPolicies() []Policy {
+	out := make([]Policy, len(presets))
+	for i := range presets {
+		out[i] = presets[i].id
+	}
+	return out
+}
 
-// known reports whether pol is one of AllPolicies.
-func (pol Policy) known() bool {
-	for _, p := range policies {
-		if p == pol {
-			return true
+// preset returns pol's row of presets, or nil when pol is not one of
+// AllPolicies.
+func (pol Policy) preset() *spec {
+	for i := range presets {
+		if presets[i].id == pol {
+			return &presets[i].spec
 		}
 	}
-	return false
+	return nil
 }
 
 // Options configure one load.
@@ -74,8 +137,8 @@ type Options struct {
 	Nonce uint64
 	// Cache carries the browser cache across loads (nil = cold).
 	Cache *browser.Cache
-	// Net overrides the network config (zero = LTE defaults for the
-	// policy's protocol).
+	// Net overrides the link (nil = LTE); the policy still sets the
+	// protocol, the serving order and cpu-only's zero network.
 	Net *netsim.Config
 	// EventLimit bounds simulation events (0 = default 5M).
 	EventLimit uint64
@@ -113,12 +176,13 @@ func (o *Options) fill() {
 // Run executes one page load of site under the given policy. A policy
 // outside AllPolicies is an error.
 func Run(site *webpage.Site, pol Policy, opts Options) (browser.Result, error) {
-	if !pol.known() {
+	sp := pol.preset()
+	if sp == nil {
 		return browser.Result{}, fmt.Errorf("runner: unknown policy %q", pol)
 	}
 	opts.fill()
 	eng := event.New(opts.Time)
-	sn := opts.snapshot(site, opts.Time, opts.Profile, opts.Nonce)
+	sn := opts.Caches.Snapshot(site, opts.Time, opts.Profile, opts.Nonce)
 
 	// Shield the root document: a load with no root has nothing to
 	// degrade around.
@@ -130,13 +194,18 @@ func Run(site *webpage.Site, pol Policy, opts Options) (browser.Result, error) {
 		tracer = obs.New(eng.Now, opts.Trace)
 	}
 
-	ncfg := networkConfig(pol, opts)
+	ncfg := sp.network(opts)
 	ncfg.Faults = opts.Faults
 	ncfg.Tracer = tracer
 	net := netsim.New(eng, ncfg)
 
-	resolver, srvPolicy := serverSide(site, pol, opts)
+	resolver := sp.newResolver(site, opts)
 	resolver.Trace = tracer
+	srvPolicy := sp.server
+	if sp.firstParty {
+		first := site.FirstPartyDomain()
+		srvPolicy.Compliant = func(host string) bool { return urlutil.RegistrableDomain(host) == first }
+	}
 	farm := server.NewFarm(net, sn, resolver, srvPolicy, server.DefaultConfig())
 	farm.Faults = opts.Faults
 	farm.Trace = tracer
@@ -145,13 +214,10 @@ func Run(site *webpage.Site, pol Policy, opts Options) (browser.Result, error) {
 	// hints and stale Polaris graph entries hit these.
 	for _, back := range []time.Duration{time.Hour, 2 * time.Hour, 3 * time.Hour, 24 * time.Hour, 7 * 24 * time.Hour} {
 		at := opts.Time.Add(-back)
-		farm.Archive = append(farm.Archive, opts.snapshot(site, at, opts.Profile, uint64(at.UnixNano())))
+		farm.Archive = append(farm.Archive, opts.Caches.Snapshot(site, at, opts.Profile, uint64(at.UnixNano())))
 	}
 
-	bcfg := browser.Config{Cache: opts.Cache, Trace: tracer}
-	if pol == NetworkOnly {
-		bcfg.NoProcessing = true
-	}
+	bcfg := browser.Config{Cache: opts.Cache, Trace: tracer, NoProcessing: sp.noProcessing}
 	if opts.Faults != nil {
 		// Defaults documented in DESIGN.md's failure model: a 5s attempt
 		// timeout (rescues stalled transfers well before PLT scales), three
@@ -165,8 +231,7 @@ func Run(site *webpage.Site, pol Policy, opts Options) (browser.Result, error) {
 		}
 	}
 
-	sched := clientScheduler(site, pol, opts, sn)
-	load := browser.NewLoad(eng, farm, bcfg, sched, site.RootURL())
+	load := browser.NewLoad(eng, farm, bcfg, sp.newScheduler(site, opts, sn), site.RootURL())
 	farm.Attach(load, opts.Cache)
 
 	load.Start()
@@ -181,27 +246,24 @@ func Run(site *webpage.Site, pol Policy, opts Options) (browser.Result, error) {
 	return res, nil
 }
 
-// networkConfig picks protocol and link behaviour for a policy.
-func networkConfig(pol Policy, opts Options) netsim.Config {
+// network builds the preset's link, opts.Net or LTE, at the preset's
+// protocol and serving order, then swaps in the zero network if asked.
+func (sp *spec) network(opts Options) netsim.Config {
 	var cfg netsim.Config
 	if opts.Net != nil {
 		cfg = *opts.Net
 	} else {
-		proto := netsim.HTTP2
-		if pol == HTTP1 {
-			proto = netsim.HTTP1
-		}
-		cfg = netsim.LTEDefaults(proto)
+		cfg = netsim.LTEDefaults(netsim.HTTP2)
 		// Cellular capacity varies on sub-second timescales; replay a
 		// deterministic per-load trace (Mahimahi-style) by default.
 		cfg.Trace = netsim.DefaultLTETrace(int64(opts.Nonce) + 1)
 	}
-	switch pol {
-	case Vroom, VroomFirstParty, DepsFromPrevLoad, OfflineOnly, OnlineOnly, VroomIframeDeps:
-		// Vroom-compliant servers answer in request order (§5.1).
-		cfg.SerializeResponses = true
-	case CPUOnly:
-		cfg.Protocol = netsim.HTTP2
+	cfg.Protocol = netsim.HTTP2
+	if sp.h1 {
+		cfg.Protocol = netsim.HTTP1
+	}
+	cfg.SerializeResponses = sp.serialize
+	if sp.zeroNet {
 		cfg.DownlinkBytesPerSec = 1e15
 		cfg.BaseRTT = 0
 		cfg.DNSDelay = 0
@@ -213,72 +275,35 @@ func networkConfig(pol Policy, opts Options) netsim.Config {
 	return cfg
 }
 
-// serverSide builds the resolver and server policy for a policy.
-func serverSide(site *webpage.Site, pol Policy, opts Options) (*core.Resolver, server.Policy) {
-	switch pol {
-	case Vroom, VroomNoSerialize:
-		return trainedResolver(site, core.DefaultResolverConfig(), opts), server.VroomPolicy()
-	case VroomIframeDeps:
-		cfg := core.DefaultResolverConfig()
-		cfg.IncludeIframeDescendants = true
-		return trainedResolver(site, cfg, opts), server.VroomPolicy()
-	case VroomFirstParty:
-		p := server.VroomPolicy()
-		first := site.FirstPartyDomain()
-		p.Compliant = func(host string) bool { return urlutil.RegistrableDomain(host) == first }
-		return trainedResolver(site, core.DefaultResolverConfig(), opts), p
-	case DepsFromPrevLoad:
-		cfg := core.DefaultResolverConfig()
-		cfg.SingleLoad = true
-		cfg.UseOnline = false
-		p := server.VroomPolicy()
-		p.OnlineAnalysis = false
-		return trainedResolver(site, cfg, opts), p
-	case OfflineOnly:
-		cfg := core.DefaultResolverConfig()
-		cfg.UseOnline = false
-		p := server.VroomPolicy()
-		p.OnlineAnalysis = false
-		return trainedResolver(site, cfg, opts), p
-	case OnlineOnly:
-		cfg := core.DefaultResolverConfig()
-		cfg.UseOffline = false
-		return core.NewResolver(cfg), server.VroomPolicy()
-	case H2PushAllStatic:
-		first := site.FirstPartyDomain()
-		return trainedResolver(site, core.DefaultResolverConfig(), opts), server.Policy{
-			Push:      server.PushAllLocal,
-			Compliant: func(host string) bool { return urlutil.RegistrableDomain(host) == first },
-		}
-	case PushAllFetchASAP:
-		return trainedResolver(site, core.DefaultResolverConfig(), opts),
-			server.Policy{SendHints: true, Push: server.PushAllLocal, OnlineAnalysis: true}
-	case PushHighNoHints:
-		return trainedResolver(site, core.DefaultResolverConfig(), opts),
-			server.Policy{Push: server.PushHighPriorityLocal, OnlineAnalysis: true}
-	case PushAllNoHints:
-		return trainedResolver(site, core.DefaultResolverConfig(), opts),
-			server.Policy{Push: server.PushAllLocal, OnlineAnalysis: true}
-	default: // HTTP1, H2, Polaris, CPUOnly, NetworkOnly
-		return core.NewResolver(core.DefaultResolverConfig()), server.Policy{}
+// newResolver builds the preset's resolver. A trained one comes from
+// opts.Caches when set, cloned so the per-load Trace never lands on the
+// shared instance.
+func (sp *spec) newResolver(site *webpage.Site, opts Options) *core.Resolver {
+	if sp.trained && opts.Caches != nil {
+		return opts.Caches.TrainedResolver(site, opts.Time, opts.Profile.Device, sp.resolver).Clone()
 	}
+	r := core.NewResolver(sp.resolver)
+	if sp.trained {
+		r.Train(site, opts.Time, opts.Profile.Device)
+	}
+	return r
 }
 
-// clientScheduler builds the client-side scheduler for a policy.
-func clientScheduler(site *webpage.Site, pol Policy, opts Options, sn *webpage.Snapshot) browser.Scheduler {
-	switch pol {
-	case Vroom, VroomFirstParty, DepsFromPrevLoad, OfflineOnly, OnlineOnly, VroomNoSerialize, VroomIframeDeps:
-		return core.NewStagedScheduler()
-	case PushAllFetchASAP:
+// newScheduler builds the preset's client scheduler.
+func (sp *spec) newScheduler(site *webpage.Site, opts Options, sn *webpage.Snapshot) browser.Scheduler {
+	switch sp.sched {
+	case asapHints:
 		return &browser.FetchASAP{FollowHints: true}
-	case Polaris:
+	case h1Throttled:
+		return &browser.FetchASAP{ThrottleDelayable: true}
+	case staged:
+		return core.NewStagedScheduler()
+	case polarisGraph:
 		if opts.Caches != nil {
 			return polaris.New(opts.Caches.PolarisGraph(site, opts.Time, opts.Profile, time.Hour))
 		}
-		g := polaris.TrainGraph(site, opts.Time, opts.Profile, time.Hour)
-		return polaris.New(g)
-	case NetworkOnly:
-		// Every resource known upfront, fetched but not evaluated (§2).
+		return polaris.New(polaris.TrainGraph(site, opts.Time, opts.Profile, time.Hour))
+	case crawlList:
 		set := webpage.CrawlURLSet(sn)
 		urls := make([]urlutil.URL, 0, len(set))
 		for _, r := range sn.Ordered() {
@@ -287,11 +312,6 @@ func clientScheduler(site *webpage.Site, pol Policy, opts Options, sn *webpage.S
 			}
 		}
 		return &browser.ListScheduler{URLs: urls}
-	case HTTP1:
-		// HTTP/1.1-era browsers throttle delayable requests while
-		// critical ones are outstanding.
-		return &browser.FetchASAP{ThrottleDelayable: true}
-	default:
-		return &browser.FetchASAP{}
 	}
+	return &browser.FetchASAP{} // asap
 }

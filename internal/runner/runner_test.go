@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"vroom/internal/hints"
 	"vroom/internal/hintstore"
 	"vroom/internal/loadgen"
+	"vroom/internal/server"
 	"vroom/internal/telemetry"
 	"vroom/internal/webpage"
 )
@@ -43,8 +45,8 @@ func TestAllPoliciesComplete(t *testing.T) {
 }
 
 // TestUnknownPolicyRejected pins that a misspelled policy is an error, not
-// an h2-like load through every switch's default branch, and that the check
-// costs Run no allocation.
+// a load under some default preset, and that the preset lookup costs Run no
+// allocation.
 func TestUnknownPolicyRejected(t *testing.T) {
 	for _, pol := range []Policy{"vrom", "", "VROOM"} {
 		if _, err := Run(newsSite(1234), pol, Options{Time: loadTime, Nonce: 1}); err == nil ||
@@ -52,8 +54,72 @@ func TestUnknownPolicyRejected(t *testing.T) {
 			t.Errorf("Run(%q) error = %v, want unknown policy", pol, err)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = VroomIframeDeps.known() }); n != 0 {
-		t.Errorf("policy check allocates %v per Run", n)
+	if n := testing.AllocsPerRun(100, func() { _ = VroomIframeDeps.preset() }); n != 0 {
+		t.Errorf("preset lookup allocates %v per Run", n)
+	}
+}
+
+// TestPresetTable checks the preset table itself: no two policies share a
+// spec, and every axis value is some preset's. Bool axes must take both
+// values; the push mode and the scheduler every value they declare. What
+// each preset builds is pinned by quick.golden, whose ext03 runs every
+// policy.
+func TestPresetTable(t *testing.T) {
+	type leaf struct {
+		path string
+		val  any
+	}
+	var walk func(path string, v reflect.Value, out []leaf) []leaf
+	walk = func(path string, v reflect.Value, out []leaf) []leaf {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				out = walk(path+"."+v.Type().Field(i).Name, v.Field(i), out)
+			}
+			return out
+		case reflect.Bool:
+			return append(out, leaf{path, v.Bool()})
+		case reflect.Int, reflect.Int64:
+			return append(out, leaf{path, v.Int()})
+		case reflect.Func:
+			return append(out, leaf{path, v.IsNil()})
+		}
+		t.Fatalf("field %s has kind %s, which this test cannot compare", path, v.Kind())
+		return nil
+	}
+	seen := map[string]map[any]bool{}
+	specs := map[string]Policy{}
+	for _, p := range presets {
+		leaves := walk("", reflect.ValueOf(p.spec), nil)
+		key := fmt.Sprint(leaves)
+		if dup, ok := specs[key]; ok {
+			t.Errorf("%s and %s have the same spec", dup, p.id)
+		}
+		specs[key] = p.id
+		for _, l := range leaves {
+			if seen[l.path] == nil {
+				seen[l.path] = map[any]bool{}
+			}
+			seen[l.path][l.val] = true
+		}
+	}
+	want := map[string]int{
+		".sched":       int(crawlList) + 1,
+		".server.Push": int(server.PushAllLocal) + 1,
+		// firstParty owns server.Compliant; the table leaves it nil.
+		".server.Compliant": 1,
+		// Held at the full resolver's values: not axes.
+		".resolver.OfflineLoads": 1,
+		".resolver.Interval":     1,
+	}
+	for path, vals := range seen {
+		n, ok := want[path]
+		if !ok {
+			n = 2 // a bool axis
+		}
+		if len(vals) != n {
+			t.Errorf("axis %s takes %d values across the presets, want %d", path, len(vals), n)
+		}
 	}
 }
 

@@ -51,12 +51,6 @@ type Policy struct {
 	CacheAware bool
 }
 
-// VroomPolicy is the full design: hints + high-priority local push + online
-// analysis + cache awareness.
-func VroomPolicy() Policy {
-	return Policy{SendHints: true, Push: PushHighPriorityLocal, OnlineAnalysis: true, CacheAware: true}
-}
-
 // Config holds the farm's timing model.
 type Config struct {
 	// ThinkTime is the base server processing delay per request.

@@ -62,8 +62,12 @@ func TestPlainServingCompletes(t *testing.T) {
 	}
 }
 
+// vroomPolicy is the full design: hints, high-priority local push, online
+// analysis and cache awareness.
+var vroomPolicy = Policy{SendHints: true, Push: PushHighPriorityLocal, OnlineAnalysis: true, CacheAware: true}
+
 func TestVroomPolicyPushesOnlySameOriginHigh(t *testing.T) {
-	e := setup(t, VroomPolicy(), core.NewStagedScheduler())
+	e := setup(t, vroomPolicy, core.NewStagedScheduler())
 	res := e.run(t)
 	pushes := 0
 	for _, rt := range res.Resources {
@@ -132,7 +136,7 @@ func TestUnknownURLServesErrorBody(t *testing.T) {
 }
 
 func TestIncrementalAdoptionScopesHints(t *testing.T) {
-	pol := VroomPolicy()
+	pol := vroomPolicy
 	pol.Compliant = func(host string) bool { return urlutil.RegistrableDomain(host) == "servertest.com" }
 	e := setup(t, pol, core.NewStagedScheduler())
 	res := e.run(t)
@@ -157,7 +161,7 @@ func TestCacheAwarePushSkipsCachedContent(t *testing.T) {
 		net := netsim.New(eng, netsim.LTEDefaults(netsim.HTTP2))
 		resolver := core.NewResolver(core.DefaultResolverConfig())
 		resolver.Train(site, t0, webpage.PhoneSmall)
-		farm := NewFarm(net, sn, resolver, VroomPolicy(), DefaultConfig())
+		farm := NewFarm(net, sn, resolver, vroomPolicy, DefaultConfig())
 		load := browser.NewLoad(eng, farm, browser.Config{Cache: cache}, core.NewStagedScheduler(), site.RootURL())
 		farm.Attach(load, cache)
 		load.Start()

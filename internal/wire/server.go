@@ -104,8 +104,7 @@ type Server struct {
 	h1srv *h1.Server
 	h2srv *h2.Server
 
-	mu     sync.Mutex
-	pushed map[string]bool
+	mu sync.Mutex
 	// redirects remembers mangled stale-hint URLs -> fresh URLs so the
 	// server can answer the client's fetch of a stale hint with a 301.
 	redirects map[string]string
@@ -134,7 +133,7 @@ type Server struct {
 // disabled.
 func NewServer(a *replay.Archive, resolver *core.Resolver, device webpage.DeviceClass, cfg ServerConfig) *Server {
 	s := &Server{Archive: a, Resolver: resolver, Device: device, Cfg: cfg,
-		pushed: make(map[string]bool), redirects: make(map[string]string)}
+		redirects: make(map[string]string)}
 	// Both transports refuse work outright (h2 REFUSED_STREAM, h1 503 —
 	// both retryable) once the gate could only shed it anyway; cheaper than
 	// running the handler to say 503. Saturated is nil-gate safe.
@@ -544,29 +543,23 @@ func (s *Server) ServeH2(w *h2.ResponseWriter, r *h2.Request) {
 	w.Write(rp.body)
 }
 
-// push pushes same-origin high-priority dependencies, once per URL. Each
-// pushed write runs under its own span carrying the requesting fetch's
-// flow, so a push's cost lands on the load that triggered it.
+// push pushes same-origin high-priority dependencies, once per URL per
+// connection. Each pushed write runs under its own span carrying the
+// requesting fetch's flow, so its cost lands on the triggering load.
 func (s *Server) push(w *h2.ResponseWriter, r *h2.Request, hs []hints.Hint, st *serveTrace) {
 	docURL := urlutil.URL{Scheme: "https", Host: r.Authority, Path: r.Path}
 	for _, u := range core.PushSet(hs, docURL, false) {
 		key := u.String()
-		s.mu.Lock()
-		dup := s.pushed[key]
-		if !dup {
-			s.pushed[key] = true
-		}
-		s.mu.Unlock()
-		if dup {
-			continue
-		}
 		rec, ok := s.Archive.Lookup(key)
 		if !ok {
 			continue
 		}
-		pw, err := w.Push(&h2.Request{Scheme: u.Scheme, Authority: u.Host, Path: u.Path})
+		pw, err := w.PushOnce(&h2.Request{Scheme: u.Scheme, Authority: u.Host, Path: u.Path})
 		if err != nil {
 			return // peer disabled push
+		}
+		if pw == nil {
+			continue // already pushed on this connection
 		}
 		s.mPush.Inc()
 		// Body bytes are known at push-decision time (memoized), so the

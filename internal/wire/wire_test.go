@@ -99,6 +99,60 @@ func TestVroomLoadPushesAndHints(t *testing.T) {
 	}
 }
 
+// TestPushOncePerConnection pins the push dedupe's scope to one h2
+// connection: two loads over their own connections are both pushed to, and
+// a document fetched twice on one connection is pushed once.
+func TestPushOncePerConnection(t *testing.T) {
+	archive, reg, dial, stop := startReplay(t, ServerConfig{SendHints: true, Push: true})
+	defer stop()
+	root, err := archive.Records[0].ParsedURL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		rep, err := (&Client{Dial: dial, Staged: true}).LoadPage(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Pushed == 0 {
+			t.Errorf("load %d over its own connections was pushed nothing", i)
+		}
+	}
+
+	// The root's hints name only other hosts; the page's pushes come from
+	// its embedded documents, whose High hints include their own host.
+	var doc urlutil.URL
+	for _, rec := range archive.Records[1:] {
+		if rec.ResourceType() == webpage.HTML {
+			if doc, err = rec.ParsedURL(); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	nc, err := dial(doc.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := h2.NewClientConn(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	pushes := reg.Counter("vroom_server_pushes_total")
+	var per [2]int64
+	for i := range per {
+		before := pushes.Value()
+		if _, err := cc.RoundTrip(&h2.Request{Method: "GET", Scheme: doc.Scheme, Authority: doc.Host, Path: doc.Path}); err != nil {
+			t.Fatal(err)
+		}
+		per[i] = pushes.Value() - before
+	}
+	if per[0] == 0 || per[1] != 0 {
+		t.Errorf("pushes for %s fetched twice on one connection = %v, want [>0 0]", doc, per)
+	}
+}
+
 func TestVroomWireFasterUnderLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency-sensitive timing test")
