@@ -6,7 +6,9 @@
 //	vroom-bench [-fig all|fig01,...] [-scale quick|half|full] [-seed N]
 //	    [-faults none|mild|severe] [-workers N]
 //
-// The -fig usage text (vroom-bench -h) lists every figure ID.
+// The -fig usage text (vroom-bench -h) lists every figure ID. The figures
+// run on one session, so a load several of them need is simulated once;
+// the "loads: N run of M requested" line counts both.
 //
 // TestAllFiguresRunQuick (internal/experiments) pins every figure at
 // -scale quick -seed 2017 exactly, against testdata/quick.golden.
@@ -65,21 +67,24 @@ func main() {
 	if *figs != "all" {
 		ids = strings.Split(*figs, ",")
 	}
-	start := time.Now()
-	for _, id := range ids {
-		run, ok := experiments.Registry[strings.TrimSpace(id)]
-		if !ok {
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		if experiments.Registry[ids[i]] == nil {
 			fmt.Fprintf(os.Stderr, "unknown figure %q (known: %s)\n", id, strings.Join(experiments.IDs(), ","))
 			os.Exit(2)
 		}
-		t0 := time.Now()
-		res, err := run(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
-		}
-		fmt.Println(res.Text)
-		fmt.Printf("  [%s completed in %.1fs]\n\n", id, time.Since(t0).Seconds())
 	}
+	start := time.Now()
+	t0 := start
+	ran, requested, err := experiments.Run(o, ids, func(res *experiments.Result) {
+		fmt.Println(res.Text)
+		fmt.Printf("  [%s completed in %.1fs]\n\n", res.ID, time.Since(t0).Seconds())
+		t0 = time.Now()
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Printf("loads: %d run of %d requested\n", ran, requested)
 	fmt.Printf("all done in %.1fs (scale=%s, seed=%d, workers=%d)\n", time.Since(start).Seconds(), *scale, *seed, o.Workers)
 }

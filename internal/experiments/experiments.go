@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure in the paper's
 // evaluation (§2, §4, §6). Each FigXX function runs the relevant policies
 // over a generated corpus and returns the series the paper plots, plus a
-// formatted text rendering. cmd/vroom-bench and the repository benchmarks
-// drive these.
+// formatted text rendering. Run runs several figures on one session, so a
+// load they share is simulated once. cmd/vroom-bench and the repository
+// benchmarks drive these.
 package experiments
 
 import (
@@ -43,11 +44,10 @@ type Options struct {
 	// <= 1 runs serially.
 	Workers int
 
-	// caches shares the deterministic offline work (resolver training,
-	// snapshot materialization, Polaris graphs) across the loads of one
-	// figure. fill() creates it, so every Options copy derived from one
-	// figure invocation shares the same cache set.
-	caches *runner.Caches
+	// s is the run's session. fill() starts one when unset, so a figure
+	// called alone has its own, and every Options copy made from it shares
+	// it; Run shares one across all its figures.
+	s *session
 }
 
 // DefaultOptions reproduces the paper's scale.
@@ -75,21 +75,111 @@ func (o Options) fill() Options {
 	if o.LoadsPerSite <= 0 {
 		o.LoadsPerSite = 1
 	}
-	if o.caches == nil {
-		o.caches = runner.NewCaches()
+	if o.s == nil {
+		o.s = newSession(o)
 	}
 	return o
 }
 
-// newsAndSports generates the paper's main workload.
-func (o Options) newsAndSports() []*webpage.Site {
-	c := webpage.Generate(webpage.CorpusConfig{Seed: o.Seed, NumNews: o.NewsSites, NumSports: o.SportsSites})
-	return c.Sites
+// session is what the figures of one run share: each corpus, generated
+// once; one runner.Caches; and the load memo. The memo holds only pure
+// loads — no warm browser cache, link override, tracer or quality sink —
+// so a load one figure ran serves every other figure that asks for it.
+type session struct {
+	// newsAndSports is the paper's main workload; top100 the Alexa-style
+	// corpus.
+	newsAndSports, top100 func() []*webpage.Site
+	caches                *runner.Caches
+
+	mu    sync.Mutex
+	loads map[loadKey]*loadEntry
+	// requested counts every load a figure asked for, ran those simulated:
+	// memo misses, plus the loads the memo cannot hold.
+	requested, ran atomic.Int64
 }
 
-func (o Options) top100() []*webpage.Site {
-	c := webpage.Generate(webpage.CorpusConfig{Seed: o.Seed + 1, NumTop100: o.Top100Sites})
-	return c.Sites
+func newSession(o Options) *session {
+	return &session{
+		newsAndSports: sync.OnceValue(func() []*webpage.Site {
+			return webpage.Generate(webpage.CorpusConfig{Seed: o.Seed, NumNews: o.NewsSites, NumSports: o.SportsSites}).Sites
+		}),
+		top100: sync.OnceValue(func() []*webpage.Site {
+			return webpage.Generate(webpage.CorpusConfig{Seed: o.Seed + 1, NumTop100: o.Top100Sites}).Sites
+		}),
+		caches: runner.NewCaches(),
+		loads:  map[loadKey]*loadEntry{},
+	}
+}
+
+// ranUnmemoized counts n loads a figure ran itself, outside the memo.
+func (s *session) ranUnmemoized(n int64) {
+	s.requested.Add(n)
+	s.ran.Add(n)
+}
+
+// loadKey is the whole input of one pure load. The corpus seed, which also
+// seeds the fault plans, is the session's.
+type loadKey struct {
+	site    *webpage.Site
+	pol     runner.Policy
+	at      int64 // UnixNano
+	profile webpage.Profile
+	nonce   uint64
+	regime  faults.Regime
+}
+
+// loadEntry is one memoized load: its result, and its fault plan's
+// injection counts for ext03's report.
+type loadEntry struct {
+	once     sync.Once
+	res      browser.Result
+	injected []faults.Stat
+	err      error
+}
+
+// load returns site's nonce-th load under pol at o's time, profile and
+// fault regime. Only the first request simulates it; concurrent requests
+// wait for that one.
+func (o Options) load(site *webpage.Site, pol runner.Policy, nonce uint64) *loadEntry {
+	s := o.s
+	k := loadKey{site: site, pol: pol, at: o.Time.UnixNano(), profile: o.Profile, nonce: nonce, regime: o.FaultRegime}
+	s.requested.Add(1)
+	s.mu.Lock()
+	l, ok := s.loads[k]
+	if !ok {
+		l = new(loadEntry)
+		s.loads[k] = l
+	}
+	s.mu.Unlock()
+	l.once.Do(func() {
+		s.ran.Add(1)
+		plan := faultPlan(o.Seed, o.FaultRegime, site.Name, nonce)
+		l.res, l.err = runner.Run(site, pol, runner.Options{
+			Time: o.Time, Profile: o.Profile, Nonce: nonce, Faults: plan, Caches: s.caches,
+		})
+		l.injected = plan.Stats()
+	})
+	return l
+}
+
+// Run runs the figures named by ids, in order, on one session, so a load
+// several of them request is simulated once. It hands each result to done
+// as its figure completes, and returns how many loads were simulated and
+// how many the figures requested.
+func Run(o Options, ids []string, done func(*Result)) (ran, requested int64, err error) {
+	o = o.fill()
+	for _, id := range ids {
+		fig := Registry[id]
+		if fig == nil {
+			return 0, 0, fmt.Errorf("unknown figure %q (known: %s)", id, strings.Join(IDs(), ","))
+		}
+		res, err := fig(o)
+		if err != nil {
+			return 0, 0, fmt.Errorf("%s: %w", id, err)
+		}
+		done(res)
+	}
+	return o.s.ran.Load(), o.s.requested.Load(), nil
 }
 
 // Result is one reproduced figure or table.
@@ -138,27 +228,6 @@ func observeLoadHists(reg *telemetry.Registry, prefix string, rs []browser.Resul
 // under an indented title, one histogram a line.
 func histText(title string, reg *telemetry.Registry) string {
 	return fmt.Sprintf("  %s (ms)\n  %s\n", title, reg.Text("\n  "))
-}
-
-// medianLoad runs a policy on a site LoadsPerSite times back-to-back and
-// returns the load with the median PLT, as the paper does.
-func medianLoad(site *webpage.Site, pol runner.Policy, o Options, cache *browser.Cache) (browser.Result, error) {
-	var results []browser.Result
-	for i := 0; i < o.LoadsPerSite; i++ {
-		var plan *faults.Plan
-		if o.FaultRegime != faults.RegimeNone {
-			plan = faults.New(faultSeed(o.Seed, site.Name, uint64(i+1)), faults.RegimeConfig(o.FaultRegime))
-		}
-		r, err := runner.Run(site, pol, runner.Options{
-			Time: o.Time, Profile: o.Profile, Nonce: uint64(i + 1), Cache: cache, Faults: plan,
-			Caches: o.caches,
-		})
-		if err != nil {
-			return browser.Result{}, err
-		}
-		results = append(results, r)
-	}
-	return medianByPLT(results), nil
 }
 
 // medianByPLT returns the load with the median PLT: the middle of the
@@ -217,16 +286,33 @@ func forEachSite(sites []*webpage.Site, workers int, fn func(i int, s *webpage.S
 	return nil
 }
 
-// runCorpus executes a policy across sites, collecting per-site results in
-// corpus order (regardless of worker count).
-func runCorpus(sites []*webpage.Site, pol runner.Policy, o Options) ([]browser.Result, error) {
+// runCorpus loads every site under pol LoadsPerSite times back-to-back
+// and returns each site's median-PLT load, as the paper does, in corpus
+// order whatever the worker count. When agg is set, every load's
+// degradation and injected-fault counters add into it; the sums commute,
+// so a parallel sweep reports what the serial one would.
+func (o Options) runCorpus(sites []*webpage.Site, pol runner.Policy, agg *telemetry.Registry) ([]browser.Result, error) {
 	out := make([]browser.Result, len(sites))
-	err := forEachSite(sites, o.Workers, func(i int, s *webpage.Site) error {
-		r, err := medianLoad(s, pol, o, nil)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", s.Name, err)
+	err := forEachSite(sites, o.Workers, func(i int, site *webpage.Site) error {
+		loads := make([]browser.Result, o.LoadsPerSite)
+		for n := range loads {
+			l := o.load(site, pol, uint64(n+1))
+			if l.err != nil {
+				return fmt.Errorf("experiments: %s under %s: %w", site.Name, pol, l.err)
+			}
+			loads[n] = l.res
+			if agg != nil {
+				agg.Counter("retries").Add(int64(l.res.Retries))
+				agg.Counter("timeouts").Add(int64(l.res.Timeouts))
+				agg.Counter("failed-fetches").Add(int64(l.res.FailedFetches))
+				agg.Counter("hints-failed").Add(int64(l.res.HintsFailed))
+				agg.Counter("wasted-push-bytes").Add(l.res.WastedPushBytes)
+				for _, st := range l.injected {
+					agg.Counter("injected/" + st.Name).Add(st.Count)
+				}
+			}
 		}
-		out[i] = r
+		out[i] = medianByPLT(loads)
 		return nil
 	})
 	if err != nil {
@@ -245,43 +331,24 @@ func pltDist(rs []browser.Result) *telemetry.Dist {
 }
 
 // lowerBound computes the paper's per-site bound: the max of the
-// CPU-bottleneck and network-bottleneck loads (§2).
-func lowerBound(sites []*webpage.Site, o Options) (plt, aft, si *telemetry.Dist, err error) {
-	type bound struct{ cpu, net browser.Result }
-	bounds := make([]bound, len(sites))
-	err = forEachSite(sites, o.Workers, func(i int, s *webpage.Site) error {
-		cpu, err := medianLoad(s, runner.CPUOnly, o, nil)
-		if err != nil {
-			return err
-		}
-		net, err := medianLoad(s, runner.NetworkOnly, o, nil)
-		if err != nil {
-			return err
-		}
-		bounds[i] = bound{cpu, net}
-		return nil
-	})
+// CPU-bottleneck and network-bottleneck loads (§2), for PLT, AFT and
+// SpeedIndex/1000.
+func (o Options) lowerBound(sites []*webpage.Site) (plt, aft, si *telemetry.Dist, err error) {
+	cpu, err := o.runCorpus(sites, runner.CPUOnly, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	net, err := o.runCorpus(sites, runner.NetworkOnly, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	plt, aft, si = telemetry.NewDist(), telemetry.NewDist(), telemetry.NewDist()
-	for _, b := range bounds {
-		plt.AddDuration(maxDur(b.cpu.PLT, b.net.PLT))
-		aft.AddDuration(maxDur(b.cpu.AFT, b.net.AFT))
-		if b.cpu.SpeedIndex > b.net.SpeedIndex {
-			si.Add(b.cpu.SpeedIndex)
-		} else {
-			si.Add(b.net.SpeedIndex)
-		}
+	for i := range sites {
+		plt.AddDuration(max(cpu[i].PLT, net[i].PLT))
+		aft.AddDuration(max(cpu[i].AFT, net[i].AFT))
+		si.Add(max(cpu[i].SpeedIndex, net[i].SpeedIndex) / 1000)
 	}
 	return plt, aft, si, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func renderResult(r *Result) string {

@@ -16,23 +16,33 @@ import (
 // one re-blesses the figure, so the move shows up in review.
 const goldenPath = "testdata/quick.golden"
 
-// TestAllFiguresRunQuick runs every figure at quick scale and compares it
-// exactly against goldenPath.
+// TestAllFiguresRunQuick runs every figure at quick scale on one session
+// and compares it exactly against goldenPath.
 func TestAllFiguresRunQuick(t *testing.T) {
-	golden := readGolden(t, goldenPath)
+	ran, requested := checkGolden(t, QuickOptions(), goldenPath)
+	// Fig20's warm-cache loads and Ext02's trace-link loads (90) bypass the
+	// memo; the other 507 requests name 294 distinct loads.
+	if ran != 384 || requested != 597 {
+		t.Errorf("loads: %d run of %d requested, want 384 run of 597", ran, requested)
+	}
+}
+
+// checkGolden runs every figure on one session, checks each result's shape
+// and compares it exactly against the golden file at path. It returns the
+// session's load counts.
+func checkGolden(t *testing.T, o Options, path string) (ran, requested int64) {
+	t.Helper()
+	golden := readGolden(t, path)
 	for id := range golden {
 		if Registry[id] == nil {
-			t.Errorf("%s: section %q names no figure: delete it", goldenPath, id)
+			t.Errorf("%s: section %q names no figure: delete it", path, id)
 		}
 	}
-	o := QuickOptions()
-	for _, id := range IDs() {
-		id := id
+	ids, next := IDs(), 0
+	ran, requested, err := Run(o, ids, func(res *Result) {
+		id := ids[next]
+		next++
 		t.Run(id, func(t *testing.T) {
-			res, err := Registry[id](o)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if res.ID != id {
 				t.Errorf("result ID %q != %q", res.ID, id)
 			}
@@ -50,10 +60,14 @@ func TestAllFiguresRunQuick(t *testing.T) {
 			t.Logf("\n%s", res.Text)
 			if got, want := goldenSection(res), golden[id]; got != want {
 				t.Errorf("%s moved from %s:\n%s\nregenerated section, to replace the old one in the same change:\n\n%s",
-					id, goldenPath, goldenDiff(want, got), got)
+					id, path, goldenDiff(want, got), got)
 			}
 		})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return ran, requested
 }
 
 // goldenSection renders a figure the way goldenPath records it: a "== id"
@@ -158,6 +172,7 @@ func TestShapeOrderings(t *testing.T) {
 	o := QuickOptions()
 	o.NewsSites, o.SportsSites = 8, 8
 	o.Top100Sites = 10
+	o = o.fill() // Fig21 reuses Fig13's trained resolvers
 
 	f13, err := Fig13(o)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // the client nor pushed by cache-aware servers.
 func Fig20(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.newsAndSports()
+	sites := o.s.newsAndSports()
 	gaps := []struct {
 		label string
 		d     time.Duration
@@ -30,40 +30,33 @@ func Fig20(o Options) (*Result, error) {
 	var notes []string
 	for _, gap := range gaps {
 		gap := gap
-		type warm struct{ vroom, h2 browser.Result }
-		warms := make([]warm, len(sites))
+		warm := [2][]browser.Result{make([]browser.Result, len(sites)), make([]browser.Result, len(sites))}
 		err := forEachSite(sites, o.Workers, func(i int, s *webpage.Site) error {
-			for pi, pol := range []runner.Policy{runner.Vroom, runner.H2} {
+			for p, pol := range []runner.Policy{runner.Vroom, runner.H2} {
 				cache := browser.NewCache()
-				// Warm-up load at t.
+				// Warm-up load at t. Both loads share a browser cache, so
+				// the memo cannot hold them.
+				o.s.ranUnmemoized(2)
 				if _, err := runner.Run(s, pol, runner.Options{
-					Time: o.Time, Profile: o.Profile, Nonce: 1, Cache: cache, Caches: o.caches,
+					Time: o.Time, Profile: o.Profile, Nonce: 1, Cache: cache, Caches: o.s.caches,
 				}); err != nil {
 					return err
 				}
 				// Measured load after the gap.
 				res, err := runner.Run(s, pol, runner.Options{
-					Time: o.Time.Add(gap.d), Profile: o.Profile, Nonce: 2, Cache: cache, Caches: o.caches,
+					Time: o.Time.Add(gap.d), Profile: o.Profile, Nonce: 2, Cache: cache, Caches: o.s.caches,
 				})
 				if err != nil {
 					return err
 				}
-				if pi == 0 {
-					warms[i].vroom = res
-				} else {
-					warms[i].h2 = res
-				}
+				warm[p][i] = res
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		vroomD, h2D := telemetry.NewDist(), telemetry.NewDist()
-		for _, w := range warms {
-			vroomD.AddDuration(w.vroom.PLT)
-			h2D.AddDuration(w.h2.PLT)
-		}
+		vroomD, h2D := pltDist(warm[0]), pltDist(warm[1])
 		rows = append(rows,
 			telemetry.TableRow{Label: "vroom, " + gap.label, Dist: vroomD},
 			telemetry.TableRow{Label: "h2 baseline, " + gap.label, Dist: h2D},
@@ -82,19 +75,16 @@ func Fig20(o Options) (*Result, error) {
 // processing, under push-all-fetch-ASAP and under Vroom.
 func Fig11(o Options) (*Result, error) {
 	o = o.fill()
-	site := o.newsAndSports()[0]
-	base, err := medianLoad(site, runner.H2, o, nil)
-	if err != nil {
-		return nil, err
+	site := o.s.newsAndSports()[0]
+	var loads [3]browser.Result
+	for i, pol := range []runner.Policy{runner.H2, runner.PushAllFetchASAP, runner.Vroom} {
+		rs, err := o.runCorpus([]*webpage.Site{site}, pol, nil)
+		if err != nil {
+			return nil, err
+		}
+		loads[i] = rs[0]
 	}
-	asap, err := medianLoad(site, runner.PushAllFetchASAP, o, nil)
-	if err != nil {
-		return nil, err
-	}
-	vr, err := medianLoad(site, runner.Vroom, o, nil)
-	if err != nil {
-		return nil, err
-	}
+	base, asap, vr := loads[0], loads[1], loads[2]
 	// The first 10 high-priority resources in baseline fetch order.
 	type row struct {
 		url     string

@@ -18,7 +18,7 @@ import (
 // (never crawled by the sampled resolver).
 func Ext01(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.newsAndSports()
+	sites := o.s.newsAndSports()
 	var (
 		covSampled = telemetry.NewDist()
 		covFull    = telemetry.NewDist()
@@ -105,7 +105,7 @@ func Ext01(o Options) (*Result, error) {
 // churn, since it attacks discovery latency rather than throughput.
 func Ext02(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.newsAndSports()
+	sites := o.s.newsAndSports()
 	pols := []struct {
 		label string
 		pol   runner.Policy
@@ -120,8 +120,11 @@ func Ext02(o Options) (*Result, error) {
 		err := forEachSite(sites, o.Workers, func(si int, s *webpage.Site) error {
 			cfg := netsim.LTEDefaults(netsim.HTTP2)
 			cfg.Trace = netsim.DefaultLTETrace(int64(si + 1))
+			// The trace link overrides the default one, so the memo
+			// cannot hold the load.
+			o.s.ranUnmemoized(1)
 			res, err := runner.Run(s, pc.pol, runner.Options{
-				Time: o.Time, Profile: o.Profile, Nonce: 1, Net: &cfg, Caches: o.caches,
+				Time: o.Time, Profile: o.Profile, Nonce: 1, Net: &cfg, Caches: o.s.caches,
 			})
 			if err != nil {
 				return err

@@ -4,50 +4,22 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"vroom/internal/browser"
 	"vroom/internal/faults"
 	"vroom/internal/runner"
 	"vroom/internal/telemetry"
-	"vroom/internal/webpage"
 )
 
-// faultSeed derives the per-(site, load) fault-plan seed from the
-// experiment seed, so every policy compared on one site faces the same
-// broken world and the whole table replays exactly under one seed.
-func faultSeed(base int64, site string, nonce uint64) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", base, site, nonce)
-	return int64(h.Sum64())
-}
-
-// chaosLoad runs a policy on a site LoadsPerSite times, each load under a
-// fresh fault plan for the regime, and returns the median-PLT load. Fault
-// and degradation counters aggregate into agg.
-func chaosLoad(s *webpage.Site, pol runner.Policy, o Options, reg faults.Regime, agg *telemetry.Registry) (browser.Result, error) {
-	var results []browser.Result
-	for i := 0; i < o.LoadsPerSite; i++ {
-		var plan *faults.Plan
-		if reg != faults.RegimeNone {
-			plan = faults.New(faultSeed(o.Seed, s.Name, uint64(i+1)), faults.RegimeConfig(reg))
-		}
-		r, err := runner.Run(s, pol, runner.Options{
-			Time: o.Time, Profile: o.Profile, Nonce: uint64(i + 1), Faults: plan,
-			Caches: o.caches,
-		})
-		if err != nil {
-			return browser.Result{}, err
-		}
-		agg.Counter("retries").Add(int64(r.Retries))
-		agg.Counter("timeouts").Add(int64(r.Timeouts))
-		agg.Counter("failed-fetches").Add(int64(r.FailedFetches))
-		agg.Counter("hints-failed").Add(int64(r.HintsFailed))
-		agg.Counter("wasted-push-bytes").Add(r.WastedPushBytes)
-		for _, st := range plan.Stats() {
-			agg.Counter("injected/" + st.Name).Add(st.Count)
-		}
-		results = append(results, r)
+// faultPlan builds the fault plan of a site's nonce-th load under reg, or
+// nil for RegimeNone. Its seed derives from (seed, site, nonce), so every
+// policy compared on one site faces the same broken world and the whole
+// table replays exactly under one seed.
+func faultPlan(seed int64, reg faults.Regime, site string, nonce uint64) *faults.Plan {
+	if reg == faults.RegimeNone {
+		return nil
 	}
-	return medianByPLT(results), nil
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%s|%d", seed, site, nonce)
+	return faults.New(int64(h.Sum64()), faults.RegimeConfig(reg))
 }
 
 // Ext03 — chaos: PLT for every runner policy under the none/mild/severe
@@ -59,7 +31,7 @@ func chaosLoad(s *webpage.Site, pol runner.Policy, o Options, reg faults.Regime,
 // retry/timeout/wasted-push counters that show the machinery working.
 func Ext03(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.newsAndSports()
+	sites := o.s.newsAndSports()
 	regimes := []faults.Regime{faults.RegimeNone, faults.RegimeMild, faults.RegimeSevere}
 
 	type cell struct {
@@ -77,26 +49,14 @@ func Ext03(o Options) (*Result, error) {
 		for _, name := range []string{"retries", "timeouts", "failed-fetches", "hints-failed", "wasted-push-bytes"} {
 			counters[reg].Counter(name)
 		}
+		ro := o
+		ro.FaultRegime = reg
 		for _, pol := range runner.AllPolicies() {
-			// Fault counters aggregate commutatively and each load's fault
-			// plan is seeded by (site, load), so the parallel sweep reports
-			// exactly what the serial one would.
-			loads := make([]browser.Result, len(sites))
-			err := forEachSite(sites, o.Workers, func(i int, s *webpage.Site) error {
-				res, err := chaosLoad(s, pol, o, reg, counters[reg])
-				if err != nil {
-					return fmt.Errorf("ext03: %s under %s: %w", pol, reg, err)
-				}
-				loads[i] = res
-				return nil
-			})
+			loads, err := ro.runCorpus(sites, pol, counters[reg])
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("under %s faults: %w", reg, err)
 			}
-			d := telemetry.NewDist()
-			for _, res := range loads {
-				d.AddDuration(res.PLT)
-			}
+			d := pltDist(loads)
 			if pol == runner.Vroom {
 				// The per-resource distributions show how the fault regime
 				// shifts time-to-first-byte and hold times under Vroom.

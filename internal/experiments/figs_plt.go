@@ -3,21 +3,19 @@ package experiments
 import (
 	"fmt"
 
-	"vroom/internal/browser"
 	"vroom/internal/runner"
 	"vroom/internal/telemetry"
-	"vroom/internal/webpage"
 )
 
 // Fig01 — page load times on today's mobile web: Alexa top-100 vs the top
 // 50 News + top 50 Sports sites, status quo (HTTP/1.1).
 func Fig01(o Options) (*Result, error) {
 	o = o.fill()
-	top, err := runCorpus(o.top100(), runner.HTTP1, o)
+	top, err := o.runCorpus(o.s.top100(), runner.HTTP1, nil)
 	if err != nil {
 		return nil, err
 	}
-	ns, err := runCorpus(o.newsAndSports(), runner.HTTP1, o)
+	ns, err := o.runCorpus(o.s.newsAndSports(), runner.HTTP1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -39,20 +37,20 @@ func Fig01(o Options) (*Result, error) {
 // network-bottleneck, CPU-bottleneck, their max, and real loads.
 func Fig02(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.newsAndSports()
-	netOnly, err := runCorpus(sites, runner.NetworkOnly, o)
+	sites := o.s.newsAndSports()
+	netOnly, err := o.runCorpus(sites, runner.NetworkOnly, nil)
 	if err != nil {
 		return nil, err
 	}
-	cpuOnly, err := runCorpus(sites, runner.CPUOnly, o)
+	cpuOnly, err := o.runCorpus(sites, runner.CPUOnly, nil)
 	if err != nil {
 		return nil, err
 	}
-	web, err := runCorpus(sites, runner.HTTP1, o)
+	web, err := o.runCorpus(sites, runner.HTTP1, nil)
 	if err != nil {
 		return nil, err
 	}
-	bound, _, _, err := lowerBound(sites, o)
+	bound, _, _, err := o.lowerBound(sites)
 	if err != nil {
 		return nil, err
 	}
@@ -75,36 +73,21 @@ func Fig02(o Options) (*Result, error) {
 // Fig03 — estimated impact of global HTTP/2 adoption: HTTP/2 baseline,
 // first-party push-all-static, HTTP/1.1.
 func Fig03(o Options) (*Result, error) {
-	o = o.fill()
-	sites := o.newsAndSports()
-	rows := []telemetry.TableRow{}
-	for _, pc := range []struct {
-		label string
-		pol   runner.Policy
-	}{
+	return pltFigure(o, "fig03", "HTTP/2 adoption PLT CDFs (s)", false, []labelled{
 		{"http/2 baseline", runner.H2},
 		{"push all static", runner.H2PushAllStatic},
 		{"http/1.1", runner.HTTP1},
-	} {
-		rs, err := runCorpus(sites, pc.pol, o)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, telemetry.TableRow{Label: pc.label, Dist: pltDist(rs)})
-	}
-	r := &Result{ID: "fig03", Title: "HTTP/2 adoption PLT CDFs (s)", Series: rows}
-	r.Notes = append(r.Notes, fmt.Sprintf(
-		"paper: H2 ≈8s median, push-all-static little extra benefit; measured h2 %.1fs, push-all-static %.1fs",
-		rows[0].Dist.Median(), rows[1].Dist.Median()))
-	r.Text = renderResult(r)
-	return r, nil
+	}, func(med []float64) string {
+		return fmt.Sprintf("paper: H2 ≈8s median, push-all-static little extra benefit; measured h2 %.1fs, push-all-static %.1fs",
+			med[0], med[1])
+	})
 }
 
 // Fig04 — fraction of the critical path spent waiting for the network
 // under HTTP/2.
 func Fig04(o Options) (*Result, error) {
 	o = o.fill()
-	rs, err := runCorpus(o.newsAndSports(), runner.H2, o)
+	rs, err := o.runCorpus(o.s.newsAndSports(), runner.H2, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,8 +110,8 @@ func Fig04(o Options) (*Result, error) {
 // The incremental-adoption scenario from §6.1 is reported as a note.
 func Fig13(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.newsAndSports()
-	boundPLT, boundAFT, boundSI, err := lowerBound(sites, o)
+	sites := o.s.newsAndSports()
+	boundPLT, boundAFT, boundSI, err := o.lowerBound(sites)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +128,7 @@ func Fig13(o Options) (*Result, error) {
 	}
 	hists := telemetry.NewRegistry()
 	for _, s := range pols {
-		rs, err := runCorpus(sites, s.pol, o)
+		rs, err := o.runCorpus(sites, s.pol, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +136,7 @@ func Fig13(o Options) (*Result, error) {
 		for _, r := range rs {
 			s.plt.AddDuration(r.PLT)
 			s.aft.AddDuration(r.AFT)
-			s.si.Add(r.SpeedIndex)
+			s.si.Add(r.SpeedIndex / 1000)
 		}
 		observeLoadHists(hists, string(s.pol), rs)
 	}
@@ -165,9 +148,9 @@ func Fig13(o Options) (*Result, error) {
 	for _, s := range pols {
 		rows = append(rows, telemetry.TableRow{Label: s.label + " AFT", Dist: s.aft})
 	}
-	rows = append(rows, telemetry.TableRow{Label: "lower bound SpeedIndex/1000", Dist: scaleDist(boundSI, 1e-3)})
+	rows = append(rows, telemetry.TableRow{Label: "lower bound SpeedIndex/1000", Dist: boundSI})
 	for _, s := range pols {
-		rows = append(rows, telemetry.TableRow{Label: s.label + " SpeedIndex/1000", Dist: scaleDist(s.si, 1e-3)})
+		rows = append(rows, telemetry.TableRow{Label: s.label + " SpeedIndex/1000", Dist: s.si})
 	}
 	r := &Result{ID: "fig13", Title: "Main result: PLT / AFT / SpeedIndex", Series: rows}
 	_, pVal := telemetry.MannWhitneyU(pols[0].plt, pols[2].plt)
@@ -182,38 +165,14 @@ func Fig13(o Options) (*Result, error) {
 	return r, nil
 }
 
-func scaleDist(d *telemetry.Dist, k float64) *telemetry.Dist {
-	out := telemetry.NewDist()
-	for p := 1.0; p <= 100; p++ {
-		out.Add(d.Percentile(p) * k)
-	}
-	return out
-}
-
 // Fig14 — Vroom vs Polaris.
 func Fig14(o Options) (*Result, error) {
-	o = o.fill()
-	sites := o.newsAndSports()
-	vr, err := runCorpus(sites, runner.Vroom, o)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := runCorpus(sites, runner.Polaris, o)
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{
-		ID:    "fig14",
-		Title: "Vroom vs Polaris PLT CDFs (s)",
-		Series: []telemetry.TableRow{
-			{Label: "vroom", Dist: pltDist(vr)},
-			{Label: "polaris", Dist: pltDist(pl)},
-		},
-	}
-	r.Notes = append(r.Notes, fmt.Sprintf("paper: medians 5.1s vs 6.4s; measured %.1fs vs %.1fs",
-		r.Series[0].Dist.Median(), r.Series[1].Dist.Median()))
-	r.Text = renderResult(r)
-	return r, nil
+	return pltFigure(o, "fig14", "Vroom vs Polaris PLT CDFs (s)", false, []labelled{
+		{"vroom", runner.Vroom},
+		{"polaris", runner.Polaris},
+	}, func(med []float64) string {
+		return fmt.Sprintf("paper: medians 5.1s vs 6.4s; measured %.1fs vs %.1fs", med[0], med[1])
+	})
 }
 
 // Fig16 — reduction in the client's latency to (a) discover and (b) finish
@@ -221,32 +180,22 @@ func Fig14(o Options) (*Result, error) {
 // high-priority only.
 func Fig16(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.newsAndSports()
-	type pair struct{ base, vr browser.Result }
-	pairs := make([]pair, len(sites))
-	err := forEachSite(sites, o.Workers, func(i int, s *webpage.Site) error {
-		base, err := medianLoad(s, runner.H2, o, nil)
-		if err != nil {
-			return err
-		}
-		vr, err := medianLoad(s, runner.Vroom, o, nil)
-		if err != nil {
-			return err
-		}
-		pairs[i] = pair{base, vr}
-		return nil
-	})
+	sites := o.s.newsAndSports()
+	base, err := o.runCorpus(sites, runner.H2, nil)
+	if err != nil {
+		return nil, err
+	}
+	vr, err := o.runCorpus(sites, runner.Vroom, nil)
 	if err != nil {
 		return nil, err
 	}
 	discAll, discHigh := telemetry.NewDist(), telemetry.NewDist()
 	fetchAll, fetchHigh := telemetry.NewDist(), telemetry.NewDist()
-	for _, p := range pairs {
-		base, vr := p.base, p.vr
-		discAll.Add(improvement(base.DiscoverAll.Seconds(), vr.DiscoverAll.Seconds()))
-		discHigh.Add(improvement(base.DiscoverHigh.Seconds(), vr.DiscoverHigh.Seconds()))
-		fetchAll.Add(improvement(base.FetchAll.Seconds(), vr.FetchAll.Seconds()))
-		fetchHigh.Add(improvement(base.FetchHigh.Seconds(), vr.FetchHigh.Seconds()))
+	for i := range sites {
+		discAll.Add(improvement(base[i].DiscoverAll.Seconds(), vr[i].DiscoverAll.Seconds()))
+		discHigh.Add(improvement(base[i].DiscoverHigh.Seconds(), vr[i].DiscoverHigh.Seconds()))
+		fetchAll.Add(improvement(base[i].FetchAll.Seconds(), vr[i].FetchAll.Seconds()))
+		fetchHigh.Add(improvement(base[i].FetchHigh.Seconds(), vr[i].FetchHigh.Seconds()))
 	}
 	r := &Result{
 		ID:    "fig16",
@@ -275,33 +224,34 @@ func improvement(base, vroom float64) float64 {
 // Fig17 — accuracy matters: returning every URL from a single prior load
 // (stale extras included) vs Vroom vs baseline.
 func Fig17(o Options) (*Result, error) {
-	return quartileFigure(o, "fig17", "Deps from a single previous load (PLT s)",
-		[]labelled{
-			{"vroom", runner.Vroom},
-			{"deps from previous load", runner.DepsFromPrevLoad},
-			{"http/2 baseline", runner.H2},
-		}, "paper: median improves slightly but p75 degrades by >1.5s vs vroom")
+	return pltFigure(o, "fig17", "Deps from a single previous load (PLT s)", true, []labelled{
+		{"vroom", runner.Vroom},
+		{"deps from previous load", runner.DepsFromPrevLoad},
+		{"http/2 baseline", runner.H2},
+	}, func([]float64) string { return "paper: median improves slightly but p75 degrades by >1.5s vs vroom" })
 }
 
 // Fig18 — push alone is insufficient: high-priority-only and push-all
 // without hints.
 func Fig18(o Options) (*Result, error) {
-	return quartileFigure(o, "fig18", "Push-only strategies (PLT s)",
-		[]labelled{
-			{"vroom", runner.Vroom},
-			{"push high priority, no hints", runner.PushHighNoHints},
-			{"push all, no hints", runner.PushAllNoHints},
-		}, "paper: push-only medians >2s above vroom (third-party resources need hints)")
+	return pltFigure(o, "fig18", "Push-only strategies (PLT s)", true, []labelled{
+		{"vroom", runner.Vroom},
+		{"push high priority, no hints", runner.PushHighNoHints},
+		{"push all, no hints", runner.PushAllNoHints},
+	}, func([]float64) string {
+		return "paper: push-only medians >2s above vroom (third-party resources need hints)"
+	})
 }
 
 // Fig19 — scheduling matters: fetch-everything-ASAP vs staged.
 func Fig19(o Options) (*Result, error) {
-	return quartileFigure(o, "fig19", "Scheduling strategies (PLT s)",
-		[]labelled{
-			{"vroom", runner.Vroom},
-			{"push all, fetch asap", runner.PushAllFetchASAP},
-			{"no push, no hints", runner.H2},
-		}, "paper: fetch-ASAP yields no improvement over baseline; vroom's staging is key")
+	return pltFigure(o, "fig19", "Scheduling strategies (PLT s)", true, []labelled{
+		{"vroom", runner.Vroom},
+		{"push all, fetch asap", runner.PushAllFetchASAP},
+		{"no push, no hints", runner.H2},
+	}, func([]float64) string {
+		return "paper: fetch-ASAP yields no improvement over baseline; vroom's staging is key"
+	})
 }
 
 type labelled struct {
@@ -309,22 +259,31 @@ type labelled struct {
 	pol   runner.Policy
 }
 
-func quartileFigure(o Options, id, title string, pols []labelled, note string) (*Result, error) {
+// pltFigure prints one PLT distribution per policy over the News+Sports
+// corpus, in order, after the §2 lower bound when withBound is set. note
+// writes the figure's note from the policies' median PLTs, in the same
+// order.
+func pltFigure(o Options, id, title string, withBound bool, pols []labelled, note func(med []float64) string) (*Result, error) {
 	o = o.fill()
-	sites := o.newsAndSports()
-	bound, _, _, err := lowerBound(sites, o)
-	if err != nil {
-		return nil, err
+	sites := o.s.newsAndSports()
+	var rows []telemetry.TableRow
+	if withBound {
+		bound, _, _, err := o.lowerBound(sites)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, telemetry.TableRow{Label: "lower bound", Dist: bound})
 	}
-	rows := []telemetry.TableRow{{Label: "lower bound", Dist: bound}}
-	for _, pc := range pols {
-		rs, err := runCorpus(sites, pc.pol, o)
+	med := make([]float64, len(pols))
+	for i, pc := range pols {
+		rs, err := o.runCorpus(sites, pc.pol, nil)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, telemetry.TableRow{Label: pc.label, Dist: pltDist(rs)})
+		med[i] = rows[len(rows)-1].Dist.Median()
 	}
-	r := &Result{ID: id, Title: title, Series: rows, Notes: []string{note}}
+	r := &Result{ID: id, Title: title, Series: rows, Notes: []string{note(med)}}
 	r.Text = renderResult(r)
 	return r, nil
 }

@@ -13,7 +13,7 @@ import (
 // day, and a week (Alexa top-100 corpus).
 func Fig07(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.top100()
+	sites := o.s.top100()
 	hour, day, week := telemetry.NewDist(), telemetry.NewDist(), telemetry.NewDist()
 	for _, s := range sites {
 		now := s.Snapshot(o.Time, o.Profile, 1).URLSet()
@@ -56,7 +56,7 @@ func Fig07(o Options) (*Result, error) {
 // (Nexus 10) versus a PhoneSmall (Nexus 6).
 func Fig09(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.top100()
+	sites := o.s.top100()
 	phone, tablet := telemetry.NewDist(), telemetry.NewDist()
 	for _, s := range sites {
 		res := core.NewResolver(core.DefaultResolverConfig())
@@ -120,7 +120,7 @@ type AccuracyResult struct {
 // loads), across user cookie profiles.
 func Fig21(o Options) (*Result, error) {
 	o = o.fill()
-	sites := o.newsAndSports()
+	sites := o.s.newsAndSports()
 	users := []int64{101, 202, 303, 404} // four seeded cookie profiles
 	acc := &AccuracyResult{
 		PredictableCount: telemetry.NewDist(),
@@ -135,13 +135,11 @@ func Fig21(o Options) (*Result, error) {
 	}
 	for _, s := range sites {
 		// Server-side resolvers are shared across users (they crawl
-		// anonymously), per device class.
-		vroomRes := core.NewResolver(core.DefaultResolverConfig())
-		vroomRes.Train(s, o.Time, o.Profile.Device)
+		// anonymously), per device class, and with the session's loads.
+		vroomRes := o.s.caches.TrainedResolver(s, o.Time, o.Profile.Device, core.DefaultResolverConfig())
 		offCfg := core.DefaultResolverConfig()
 		offCfg.UseOnline = false
-		offRes := core.NewResolver(offCfg)
-		offRes.Train(s, o.Time, o.Profile.Device)
+		offRes := o.s.caches.TrainedResolver(s, o.Time, o.Profile.Device, offCfg)
 
 		for ui, uid := range users {
 			profile := webpage.Profile{Device: o.Profile.Device, UserID: uid}

@@ -2,7 +2,8 @@ package experiments
 
 import "sort"
 
-// Runner is one reproducible figure.
+// Runner is one reproducible figure. Called on its own it loads on a
+// session of its own; Run runs several on one.
 type Runner func(Options) (*Result, error)
 
 // Registry maps figure IDs to their runners.
